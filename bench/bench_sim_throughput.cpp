@@ -1,24 +1,24 @@
 /**
  * @file
- * Compiled-engine throughput: the tape backends (interpreter / explicit
- * SIMD / per-design native codegen, DESIGN.md §3h) against the
- * interpreted reference on the exploration workload that dominates
+ * Compiled-engine throughput: the tape kernel (DESIGN.md §3h) against
+ * the interpreted reference on the exploration workload that dominates
  * semi-formal synthesis.
  *
  * The paper's flow leans on massive randomized simulation before any
  * formal query runs (§VII-B); our reproduction's equivalent is
  * exploreSim, which simulates thousands of random constrained programs
- * per instruction. This bench sweeps the full execution matrix —
- * backend × lane width (P ∈ {4, 8, 16}) × worker threads — on tiny3 and
- * mcva, reports simulated cycles/second and speedup over the
- * interpreted engine for every cell, and records the whole matrix in
- * BENCH_sim_throughput.json (plus the best configuration per design).
+ * per instruction. This bench sweeps lane width (P ∈ {4, 8, 16}) ×
+ * worker threads on tiny3 and mcva, reports simulated cycles/second and
+ * speedup over the interpreted engine for every cell, and records the
+ * matrix in BENCH_sim_throughput.json (plus the best configuration per
+ * design).
  *
  * Equivalence is the exit code, not the timing: exploration facts —
- * witnesses included — must be bit-identical across every backend,
- * lane width, and thread count (factsEqual), and a full semi-formal
- * synthesis run per backend must render byte-identical μPATHs. A
- * backend that is fast but wrong fails the bench.
+ * witnesses included — must be bit-identical across every lane width
+ * and thread count (factsEqual), and a full semi-formal synthesis run
+ * on the compiled engine must render byte-identical μPATHs to one on
+ * the interpreted engine. A configuration that is fast but wrong fails
+ * the bench.
  */
 
 #include <chrono>
@@ -27,7 +27,6 @@
 #include "designs/mcva.hh"
 #include "designs/tiny3.hh"
 #include "rtl2mupath/sim_explore.hh"
-#include "sim/codegen.hh"
 #include "sim/simd.hh"
 
 using namespace rmp;
@@ -80,11 +79,10 @@ factsAgree(const Harness &hx, const r2m::SimExploreConfig &icfg,
 
 /** Full semi-formal synthesis with the given engine; rendered μPATHs. */
 std::string
-synthRender(Harness &hx, r2m::SimEngine eng, sim::SimBackend backend)
+synthRender(Harness &hx, r2m::SimEngine eng)
 {
     r2m::SynthesisConfig scfg = benchSynthConfig();
     scfg.explore.engine = eng;
-    scfg.explore.backend = backend;
     r2m::MuPathSynthesizer synth(hx, scfg);
     std::vector<uhb::InstrId> ids;
     for (uhb::InstrId i = 0; i < hx.duv().instrs.size(); i++)
@@ -108,8 +106,6 @@ engineJson(const EngineRun &er)
     return j.str();
 }
 
-constexpr sim::SimBackend kBackends[] = {
-    sim::SimBackend::Tape, sim::SimBackend::Simd, sim::SimBackend::Native};
 constexpr unsigned kLaneWidths[] = {4, 8, 16};
 constexpr unsigned kThreadCounts[] = {1, 4};
 
@@ -118,12 +114,11 @@ constexpr unsigned kThreadCounts[] = {1, 4};
 int
 main()
 {
-    banner("compiled batched simulation — backend throughput matrix");
+    banner("compiled batched simulation — lanes x threads throughput");
 
     r2m::SimExploreConfig cfg;
     cfg.runs = fullMode() ? 6000 : 1500;
     const unsigned eqRuns = fullMode() ? 1200 : 300;
-    const bool haveCc = sim::nativeCompilerAvailable();
 
     bool factsMatch = true, pathsMatch = true;
     JsonReport out;
@@ -131,7 +126,6 @@ main()
     out.put("runs_per_instruction", uint64_t(cfg.runs));
     out.put("equivalence_runs", uint64_t(eqRuns));
     out.put("simd_isa", std::string(sim::simdIsa(8)));
-    out.putRaw("native_compiler", haveCc ? "true" : "false");
     double mcvaBest = 0;
     std::string mcvaBestCfg;
 
@@ -155,55 +149,39 @@ main()
         double best = 0;
         std::string bestCfg;
         std::string cells; // JSON array of per-cell objects
-        for (sim::SimBackend be : kBackends) {
-            for (unsigned lanes : kLaneWidths) {
-                for (unsigned threads : kThreadCounts) {
-                    r2m::SimExploreConfig ccfg = cfg;
-                    ccfg.engine = r2m::SimEngine::Compiled;
-                    ccfg.backend = be;
-                    ccfg.lanes = lanes;
-                    ccfg.threads = threads;
-                    if (be == sim::SimBackend::Native) {
-                        // Warm the native kernel cache so the timed pass
-                        // measures execution, not the one-off compile.
-                        r2m::SimExploreConfig warm = ccfg;
-                        warm.runs = lanes;
-                        r2m::exploreSim(hx, 0, warm);
-                    }
-                    EngineRun er;
-                    exploreAll(hx, ccfg, er);
-                    double speedup =
-                        interp.wall > 0 && er.wall > 0
-                            ? interp.wall / er.wall
-                            : 0;
-                    r2m::SimExploreConfig eqCcfg = ccfg;
-                    eqCcfg.runs = eqRuns;
-                    bool fm = factsAgree(hx, eqIcfg, eqCcfg);
-                    factsMatch = factsMatch && fm;
+        for (unsigned lanes : kLaneWidths) {
+            for (unsigned threads : kThreadCounts) {
+                r2m::SimExploreConfig ccfg = cfg;
+                ccfg.engine = r2m::SimEngine::Compiled;
+                ccfg.lanes = lanes;
+                ccfg.threads = threads;
+                EngineRun er;
+                exploreAll(hx, ccfg, er);
+                double speedup = interp.wall > 0 && er.wall > 0
+                                     ? interp.wall / er.wall
+                                     : 0;
+                r2m::SimExploreConfig eqCcfg = ccfg;
+                eqCcfg.runs = eqRuns;
+                bool fm = factsAgree(hx, eqIcfg, eqCcfg);
+                factsMatch = factsMatch && fm;
 
-                    const std::string label =
-                        std::string(sim::backendName(be)) + " P=" +
-                        std::to_string(lanes) + " T=" +
-                        std::to_string(threads);
-                    std::printf("  %-18s %10.0f cycles/s  %6.1fx  "
-                                "facts %s\n",
-                                label.c_str(), er.cyclesPerSec, speedup,
-                                fm ? "identical" : "MISMATCH");
-                    if (speedup > best) {
-                        best = speedup;
-                        bestCfg = label;
-                    }
-
-                    JsonReport c;
-                    c.put("backend",
-                          std::string(sim::backendName(be)));
-                    c.put("lanes", uint64_t(lanes));
-                    c.put("threads", uint64_t(threads));
-                    c.putRaw("run", engineJson(er));
-                    c.put("speedup", speedup);
-                    c.putRaw("facts_match", fm ? "true" : "false");
-                    cells += (cells.empty() ? "" : ",\n  ") + c.str();
+                const std::string label = "P=" + std::to_string(lanes) +
+                                          " T=" + std::to_string(threads);
+                std::printf("  %-18s %10.0f cycles/s  %6.1fx  facts %s\n",
+                            label.c_str(), er.cyclesPerSec, speedup,
+                            fm ? "identical" : "MISMATCH");
+                if (speedup > best) {
+                    best = speedup;
+                    bestCfg = label;
                 }
+
+                JsonReport c;
+                c.put("lanes", uint64_t(lanes));
+                c.put("threads", uint64_t(threads));
+                c.putRaw("run", engineJson(er));
+                c.put("speedup", speedup);
+                c.putRaw("facts_match", fm ? "true" : "false");
+                cells += (cells.empty() ? "" : ",\n  ") + c.str();
             }
         }
         std::printf("  best: %s at %.1fx over interpreted\n",
@@ -213,16 +191,11 @@ main()
             mcvaBestCfg = bestCfg;
         }
 
-        // Backend-invariant μPATHs: interpreted vs every backend.
-        std::string ri =
-            synthRender(hx, r2m::SimEngine::Interpreted,
-                        sim::SimBackend::Tape);
-        bool pm = true;
-        for (sim::SimBackend be : kBackends)
-            pm = pm &&
-                 ri == synthRender(hx, r2m::SimEngine::Compiled, be);
+        // Engine-invariant μPATHs: interpreted vs compiled.
+        bool pm = synthRender(hx, r2m::SimEngine::Interpreted) ==
+                  synthRender(hx, r2m::SimEngine::Compiled);
         pathsMatch = pathsMatch && pm;
-        std::printf("  synthesized uPATHs across backends: %s\n",
+        std::printf("  synthesized uPATHs across engines: %s\n",
                     pm ? "byte-identical" : "MISMATCH");
 
         JsonReport d;
@@ -237,7 +210,7 @@ main()
     paperNote("the flow front-loads randomized simulation before formal "
               "queries (§VII-B); throughput bounds how much reachability "
               "evidence the semi-formal mode can gather",
-              strfmt("best backend configuration reaches %.1fx "
+              strfmt("best lanes x threads configuration reaches %.1fx "
                      "interpreted throughput on mcva (%s)",
                      mcvaBest, mcvaBestCfg.c_str()));
 
@@ -249,12 +222,12 @@ main()
     else
         std::printf("\nFAILED to write %s\n", path);
     if (!factsMatch || !pathsMatch) {
-        std::printf("FAIL: backends disagree (facts %s, paths %s)\n",
+        std::printf("FAIL: engines disagree (facts %s, paths %s)\n",
                     factsMatch ? "ok" : "mismatch",
                     pathsMatch ? "ok" : "mismatch");
         return 1;
     }
-    std::printf("backends agree on every fact and every synthesized "
+    std::printf("engines agree on every fact and every synthesized "
                 "uPATH\n");
     return 0;
 }

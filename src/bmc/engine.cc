@@ -593,10 +593,10 @@ replayWitnessCompiled(const sim::Tape &tape, const Design &design,
                       const std::vector<InputMap> &inputs,
                       const prop::ExprRef &seq,
                       const std::vector<prop::ExprRef> &assumes,
-                      unsigned bound, sim::SimBackend backend)
+                      unsigned bound)
 {
     ReplayCheck rc;
-    sim::BatchSim bs(tape, 1, backend);
+    sim::BatchSim bs(tape, 1);
     bs.reserveTrace(std::min<size_t>(bound, inputs.size()));
     for (unsigned t = 0; t < bound && t < inputs.size(); t++) {
         bs.clearInputs();
@@ -684,8 +684,7 @@ Engine::extractWitness(Ctx &ctx, const prop::ExprRef &seq,
         ReplayCheck rc =
             cfg.compiledReplay && !cfg.auditReplay
                 ? replayWitnessCompiled(replayTapeFor(seq, assumes), d,
-                                        w.inputs, seq, assumes, cfg.bound,
-                                        cfg.simBackend)
+                                        w.inputs, seq, assumes, cfg.bound)
                 : replayWitness(d, w.inputs, seq, assumes, cfg.bound);
         if (cfg.auditReplay && audit) {
             // Audit mode records the mismatch for the caller to report

@@ -108,8 +108,7 @@ ReplayCheck replayWitness(const Design &design,
 ReplayCheck replayWitnessCompiled(
     const sim::Tape &tape, const Design &design,
     const std::vector<InputMap> &inputs, const prop::ExprRef &seq,
-    const std::vector<prop::ExprRef> &assumes, unsigned bound,
-    sim::SimBackend backend = sim::SimBackend::Tape);
+    const std::vector<prop::ExprRef> &assumes, unsigned bound);
 
 /** Kleene truth value of a property under time-invariant facts. */
 enum class StaticTern : int8_t { False = 0, True = 1, Unknown = 2 };
@@ -258,10 +257,6 @@ struct EngineConfig
      * never rides the engine it is meant to check.
      */
     bool compiledReplay = false;
-    /** Execution backend for compiledReplay (bit-identical by contract;
-     *  replay batches are single-lane, so the default interpreter tape
-     *  kernel is usually the right choice). */
-    sim::SimBackend simBackend = sim::SimBackend::Tape;
     /**
      * Signals witness traces must expose under compiledReplay beyond
      * the query's own support (e.g. the harness PL trackers μPATH

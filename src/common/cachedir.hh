@@ -2,10 +2,8 @@
  * @file
  * Shared on-disk cache-directory plumbing.
  *
- * Two subsystems persist derived artifacts under one cache root: the
- * native-codegen `.so` cache (sim/codegen) and the verdict store
- * (src/store). Both need the same three things, hoisted here so their
- * semantics cannot drift apart:
+ * The verdict store (src/store) persists derived artifacts under one
+ * cache root; it and the daemon's worker routing (src/serve) share:
  *
  *  - one resolution rule for the cache root: $RMP_CACHE_DIR, else
  *    $HOME/.cache/rmp, else /tmp/rmp-cache — created on first use;

@@ -29,9 +29,8 @@ observationWatch(const Harness &hx)
 
 } // anonymous namespace
 
-ProgramDriver::ProgramDriver(const Harness &harness, bool compiled,
-                             sim::SimBackend backend)
-    : hx(harness), backend_(backend)
+ProgramDriver::ProgramDriver(const Harness &harness, bool compiled)
+    : hx(harness)
 {
     if (compiled)
         tape_ = std::make_unique<sim::Tape>(
@@ -81,7 +80,7 @@ ProgramDriver::run(const std::vector<ProgInstr> &prog, unsigned total_cycles,
         return sim.trace();
     }
 
-    sim::BatchSim bs(*tape_, 1, backend_);
+    sim::BatchSim bs(*tape_, 1);
     bs.reserveTrace(total_cycles);
     for (unsigned t = 0; t < total_cycles; t++) {
         bs.clearInputs();

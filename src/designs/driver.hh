@@ -43,10 +43,8 @@ struct ProgInstr
 class ProgramDriver
 {
   public:
-    /** @p compiled selects the op-tape engine (watch-set traces);
-     *  @p backend picks its execution kernel (bit-identical results). */
-    explicit ProgramDriver(const Harness &harness, bool compiled = false,
-                           sim::SimBackend backend = sim::SimBackend::Tape);
+    /** @p compiled selects the op-tape engine (watch-set traces). */
+    explicit ProgramDriver(const Harness &harness, bool compiled = false);
 
     /**
      * Run @p prog, then keep simulating idle cycles until @p total_cycles
@@ -74,7 +72,6 @@ class ProgramDriver
     const Harness &hx;
     /** Observation-watch tape (compiled engine only, built once). */
     std::unique_ptr<sim::Tape> tape_;
-    sim::SimBackend backend_ = sim::SimBackend::Tape;
 };
 
 } // namespace rmp::designs

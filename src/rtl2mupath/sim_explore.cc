@@ -342,7 +342,7 @@ runsCompiled(const designs::Harness &hx, InstrId iuv,
     const unsigned nbatch = (cfg.runs + lanes - 1) / lanes;
 
     auto work = [&](unsigned tid) {
-        sim::BatchSim bs(tape, lanes, cfg.backend);
+        sim::BatchSim bs(tape, lanes);
         bs.reserveTrace(bound);
         struct LaneCtx
         {

@@ -70,9 +70,6 @@ struct SimExploreConfig
      * [1, sim::kMaxLanes]). Results are lane-count invariant.
      */
     unsigned lanes = sim::kDefaultLanes;
-    /** Execution backend for the compiled engine (facts are backend
-     *  invariant by contract; Simd is the measured default). */
-    sim::SimBackend backend = sim::SimBackend::Simd;
     /** Worker threads fanning batches; results are thread-count
      *  invariant. */
     unsigned threads = 4;

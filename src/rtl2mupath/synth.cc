@@ -61,7 +61,6 @@ engineConfigFor(const designs::Harness &hx, const SynthesisConfig &config)
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;
     ec.compiledReplay = true;
-    ec.simBackend = config.explore.backend;
     ec.queryLog = config.queryLog;
     if (config.staticPrune) {
         ec.staticPrune = true;

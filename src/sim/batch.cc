@@ -3,25 +3,12 @@
 #include <algorithm>
 
 #include "common/logging.hh"
-#include "sim/codegen.hh"
 #include "sim/simd.hh"
 
 namespace rmp::sim
 {
 
-const char *
-backendName(SimBackend b)
-{
-    switch (b) {
-      case SimBackend::Tape: return "tape";
-      case SimBackend::Simd: return "simd";
-      case SimBackend::Native: return "native";
-    }
-    return "?";
-}
-
-BatchSim::BatchSim(const Tape &tape, unsigned lanes, SimBackend backend)
-    : tp(tape)
+BatchSim::BatchSim(const Tape &tape, unsigned lanes) : tp(tape)
 {
     rmp_assert(lanes >= 1 && lanes <= kMaxLanes,
                "lane count %u outside [1, %u]", lanes, kMaxLanes);
@@ -29,14 +16,6 @@ BatchSim::BatchSim(const Tape &tape, unsigned lanes, SimBackend backend)
     P_ = 1;
     while (P_ < lanes)
         P_ <<= 1;
-    backend_ = active_ = backend;
-    if (backend_ == SimBackend::Native) {
-        native_ = NativeKernel::acquire(tp, P_);
-        if (native_)
-            nativeFn_ = native_->fn();
-        else
-            active_ = SimBackend::Simd; // no compiler / compile failed
-    }
     valsStore_.resize(size_t(tp.numSlots) * P_ + 7);
     vals_ = reinterpret_cast<uint64_t *>(
         (reinterpret_cast<uintptr_t>(valsStore_.data()) + 63) &
@@ -86,213 +65,6 @@ BatchSim::reserveTrace(size_t cycles)
     frames_.reserve(cycles * tp.watchSlots.size() * P_);
 }
 
-/*
- * The compiled kernel. One instantiation per physical lane width: P is a
- * compile-time constant, so each per-op lane loop has a fixed trip count
- * the compiler unrolls and vectorizes. Dispatch is threaded (computed
- * goto) on GCC/Clang — each op jumps directly to the next op's handler,
- * giving the branch predictor one indirect-jump site per handler instead
- * of a single shared switch branch — with a plain switch loop as the
- * portable fallback.
- */
-
-// NOLINTBEGIN(cppcoreguidelines-macro-usage)
-#define RMP_UNARY()                                                        \
-    uint64_t *__restrict pd = v + size_t(dd[i]) * P;                       \
-    const uint64_t *pa = v + size_t(da[i]) * P
-#define RMP_BINARY()                                                       \
-    RMP_UNARY();                                                           \
-    const uint64_t *pb = v + size_t(db[i]) * P
-#define RMP_TERNARY()                                                      \
-    RMP_BINARY();                                                          \
-    const uint64_t *pc = v + size_t(dc[i]) * P
-
-#define RMP_DO_NOT                                                         \
-    {                                                                      \
-        RMP_UNARY();                                                       \
-        const uint64_t m = msk[i];                                         \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = ~pa[l] & m;                                            \
-    }
-#define RMP_DO_AND                                                         \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pa[l] & pb[l];                                         \
-    }
-#define RMP_DO_OR                                                          \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pa[l] | pb[l];                                         \
-    }
-#define RMP_DO_XOR                                                         \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pa[l] ^ pb[l];                                         \
-    }
-#define RMP_DO_REDOR                                                       \
-    {                                                                      \
-        RMP_UNARY();                                                       \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pa[l] != 0;                                            \
-    }
-#define RMP_DO_REDAND                                                      \
-    {                                                                      \
-        RMP_UNARY();                                                       \
-        const uint64_t m = msk[i];                                         \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pa[l] == m;                                            \
-    }
-#define RMP_DO_EQ                                                          \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pa[l] == pb[l];                                        \
-    }
-#define RMP_DO_ULT                                                         \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pa[l] < pb[l];                                         \
-    }
-#define RMP_DO_ADD                                                         \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        const uint64_t m = msk[i];                                         \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = (pa[l] + pb[l]) & m;                                   \
-    }
-#define RMP_DO_SUB                                                         \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        const uint64_t m = msk[i];                                         \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = (pa[l] - pb[l]) & m;                                   \
-    }
-#define RMP_DO_MUL                                                         \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        const uint64_t m = msk[i];                                         \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = (pa[l] * pb[l]) & m;                                   \
-    }
-#define RMP_DO_SHL                                                         \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        const uint64_t m = msk[i];                                         \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pb[l] >= 64 ? 0 : (pa[l] << pb[l]) & m;                \
-    }
-#define RMP_DO_SHR                                                         \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        const uint64_t m = msk[i];                                         \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pb[l] >= 64 ? 0 : (pa[l] >> pb[l]) & m;                \
-    }
-#define RMP_DO_MUX                                                         \
-    {                                                                      \
-        RMP_TERNARY();                                                     \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = pa[l] ? pb[l] : pc[l];                                 \
-    }
-#define RMP_DO_SLICE                                                       \
-    {                                                                      \
-        RMP_UNARY();                                                       \
-        const uint64_t m = msk[i];                                         \
-        const uint32_t s = aux[i];                                         \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = (pa[l] >> s) & m;                                      \
-    }
-#define RMP_DO_CONCAT                                                      \
-    {                                                                      \
-        RMP_BINARY();                                                      \
-        const uint32_t s = aux[i];                                         \
-        for (unsigned l = 0; l < P; l++)                                   \
-            pd[l] = (pa[l] << s) | pb[l];                                  \
-    }
-
-template <unsigned P>
-void
-BatchSim::evalOps()
-{
-    const size_t n = tp.opc.size();
-    if (n == 0)
-        return;
-    uint64_t *v = vals_;
-    const uint8_t *opc = tp.opc.data();
-    const Slot *dd = tp.dst.data();
-    const Slot *da = tp.a.data();
-    const Slot *db = tp.b.data();
-    const Slot *dc = tp.c.data();
-    const uint32_t *aux = tp.aux.data();
-    const uint64_t *msk = tp.mask.data();
-    size_t i = 0;
-
-#if defined(__GNUC__) || defined(__clang__)
-    // Jump-table order must match the TOp enumerator order.
-    static const void *kJump[] = {
-        &&L_Not, &&L_And, &&L_Or,  &&L_Xor, &&L_RedOr, &&L_RedAnd,
-        &&L_Eq,  &&L_Ult, &&L_Add, &&L_Sub, &&L_Mul,   &&L_Shl,
-        &&L_Shr, &&L_Mux, &&L_Slice, &&L_Concat};
-    // Each handler drains its whole same-opcode run before the next
-    // indirect jump: compileTape groups ops by opcode within a topo
-    // level, so the run-continuation branch is long and predictable
-    // where the indirect dispatch would mispredict.
-#define RMP_RUN(LBL, DO)                                                   \
-    L_##LBL:                                                               \
-    do                                                                     \
-        DO                                                                 \
-    while (++i != n && opc[i] == static_cast<uint8_t>(TOp::LBL));          \
-    if (i == n)                                                            \
-        return;                                                            \
-    goto *kJump[opc[i]]
-
-    goto *kJump[opc[0]];
-    RMP_RUN(Not, RMP_DO_NOT);
-    RMP_RUN(And, RMP_DO_AND);
-    RMP_RUN(Or, RMP_DO_OR);
-    RMP_RUN(Xor, RMP_DO_XOR);
-    RMP_RUN(RedOr, RMP_DO_REDOR);
-    RMP_RUN(RedAnd, RMP_DO_REDAND);
-    RMP_RUN(Eq, RMP_DO_EQ);
-    RMP_RUN(Ult, RMP_DO_ULT);
-    RMP_RUN(Add, RMP_DO_ADD);
-    RMP_RUN(Sub, RMP_DO_SUB);
-    RMP_RUN(Mul, RMP_DO_MUL);
-    RMP_RUN(Shl, RMP_DO_SHL);
-    RMP_RUN(Shr, RMP_DO_SHR);
-    RMP_RUN(Mux, RMP_DO_MUX);
-    RMP_RUN(Slice, RMP_DO_SLICE);
-    RMP_RUN(Concat, RMP_DO_CONCAT);
-#undef RMP_RUN
-#else
-    for (; i < n; i++) {
-        switch (static_cast<TOp>(opc[i])) {
-          case TOp::Not: RMP_DO_NOT break;
-          case TOp::And: RMP_DO_AND break;
-          case TOp::Or: RMP_DO_OR break;
-          case TOp::Xor: RMP_DO_XOR break;
-          case TOp::RedOr: RMP_DO_REDOR break;
-          case TOp::RedAnd: RMP_DO_REDAND break;
-          case TOp::Eq: RMP_DO_EQ break;
-          case TOp::Ult: RMP_DO_ULT break;
-          case TOp::Add: RMP_DO_ADD break;
-          case TOp::Sub: RMP_DO_SUB break;
-          case TOp::Mul: RMP_DO_MUL break;
-          case TOp::Shl: RMP_DO_SHL break;
-          case TOp::Shr: RMP_DO_SHR break;
-          case TOp::Mux: RMP_DO_MUX break;
-          case TOp::Slice: RMP_DO_SLICE break;
-          case TOp::Concat: RMP_DO_CONCAT break;
-        }
-    }
-#endif
-}
-// NOLINTEND(cppcoreguidelines-macro-usage)
-
 template <unsigned P>
 void
 BatchSim::latch()
@@ -331,24 +103,7 @@ BatchSim::step()
             dst[l] = src[l] & m;
     }
 
-    switch (active_) {
-      case SimBackend::Native:
-        nativeFn_(vals_);
-        break;
-      case SimBackend::Simd:
-        simdEvalOps(tp, vals_, P_);
-        break;
-      case SimBackend::Tape:
-        switch (P_) {
-          case 1: evalOps<1>(); break;
-          case 2: evalOps<2>(); break;
-          case 4: evalOps<4>(); break;
-          case 8: evalOps<8>(); break;
-          case 16: evalOps<16>(); break;
-          default: rmp_panic("unsupported physical lane count %u", P_);
-        }
-        break;
-    }
+    simdEvalOps(tp, vals_, P_);
 
     // Record watched values pre-latch: this is the cycle's frame.
     if (recording_) {

@@ -5,11 +5,11 @@
  *
  * Values live in one contiguous SoA array, vals[slot * P + lane], where P
  * is the physical lane count — the requested lane count rounded up to a
- * power of two and dispatched to a lane-count-templated kernel, so every
- * per-op inner loop has a compile-time trip count the compiler can
- * vectorize. Lanes are fully independent simulations stepped in lockstep;
- * unused (padding) lanes run the all-zero-input program and are never
- * observed.
+ * power of two. step() runs one kernel (sim/simd.hh): each same-opcode
+ * run of the tape is one loop over a slot's P lanes, in AVX2 registers
+ * when the CPU has them and P >= 4, in the portable VPort<P> otherwise.
+ * Lanes are fully independent simulations stepped in lockstep; unused
+ * (padding) lanes run the all-zero-input program and are never observed.
  *
  * Inputs are staged into a dense per-ordinal array (no hash map on the
  * hot path; stageInputs() is the map-based shim for oracle/test call
@@ -27,7 +27,6 @@
 #define SIM_BATCH_HH
 
 #include <cstdint>
-#include <memory>
 #include <vector>
 
 #include "sim/simulator.hh"
@@ -36,8 +35,6 @@
 namespace rmp::sim
 {
 
-class NativeKernel;
-
 /** Largest supported physical lane width. */
 inline constexpr unsigned kMaxLanes = 16;
 
@@ -45,32 +42,11 @@ inline constexpr unsigned kMaxLanes = 16;
  *  per four ops' worth of loop unrolling; measured sweet spot). */
 inline constexpr unsigned kDefaultLanes = 8;
 
-/**
- * Which kernel executes the op program. All backends are bit-identical
- * by contract (the differential suites enforce it); they differ only in
- * throughput and availability:
- *
- *   Tape    computed-goto interpreter, one indirect jump per same-opcode
- *           run; always available (the compiled baseline).
- *   Simd    explicit vector kernels (AVX2/SSE2/NEON/portable), one
- *           dispatch per run and intrinsics across lanes.
- *   Native  per-design straight-line C, compiled and cached on disk,
- *           zero dispatch; falls back to Simd when no compiler exists.
- */
-enum class SimBackend : uint8_t {
-    Tape,
-    Simd,
-    Native,
-};
-
-const char *backendName(SimBackend b);
-
 class BatchSim
 {
   public:
     /** @p lanes in [1, kMaxLanes]; rounded up to a power of two. */
-    BatchSim(const Tape &tape, unsigned lanes,
-             SimBackend backend = SimBackend::Tape);
+    BatchSim(const Tape &tape, unsigned lanes);
 
     /** Back to the reset state; clears the recorded frames. */
     void reset();
@@ -79,12 +55,6 @@ class BatchSim
     unsigned lanes() const { return lanes_; }
     /** Physical (padded power-of-two) lane count. */
     unsigned physLanes() const { return P_; }
-
-    /** Requested execution backend. */
-    SimBackend backend() const { return backend_; }
-    /** Backend actually running (== backend() unless Native fell back
-     *  to Simd because no kernel could be compiled or loaded). */
-    SimBackend activeBackend() const { return active_; }
 
     /** @name Per-cycle input staging */
     /// @{
@@ -144,17 +114,11 @@ class BatchSim
     const Tape &tape() const { return tp; }
 
   private:
-    template <unsigned P> void evalOps();
     template <unsigned P> void latch();
 
     const Tape &tp;
     unsigned lanes_ = 1;
     unsigned P_ = 1;
-    SimBackend backend_ = SimBackend::Tape;
-    SimBackend active_ = SimBackend::Tape;
-    /** Keeps the dlopen'd kernel alive for the Native backend. */
-    std::shared_ptr<const NativeKernel> native_;
-    void (*nativeFn_)(uint64_t *) = nullptr;
     /** Backing store for vals_, over-allocated so the aligned pointer
      *  always has numSlots * P valid elements behind it. */
     std::vector<uint64_t> valsStore_;

@@ -1,5 +1,6 @@
 #include "sim/simd.hh"
 
+#include "common/logging.hh"
 #include "sim/simd_kernels.hh"
 
 namespace rmp::sim
@@ -39,20 +40,22 @@ simdEvalOps(const Tape &tp, uint64_t *vals, unsigned P)
         return;
     }
 #endif
-    if (P % detail::VWide::W == 0)
-        detail::evalOpsVec<detail::VWide>(tp, vals, P);
-    else
-        detail::evalOpsVec<detail::VPort<1>>(tp, vals, P);
+    using detail::evalOpsVec;
+    using detail::VPort;
+    switch (P) {
+      case 1: evalOpsVec<VPort<1>>(tp, vals, P); break;
+      case 2: evalOpsVec<VPort<2>>(tp, vals, P); break;
+      case 4: evalOpsVec<VPort<4>>(tp, vals, P); break;
+      case 8: evalOpsVec<VPort<8>>(tp, vals, P); break;
+      case 16: evalOpsVec<VPort<16>>(tp, vals, P); break;
+      default: rmp_panic("unsupported physical lane count %u", P);
+    }
 }
 
 const char *
 simdIsa(unsigned P)
 {
-    if (P >= 4 && avx2Available())
-        return "avx2";
-    if (P % detail::VWide::W == 0)
-        return detail::kWideIsa;
-    return "scalar";
+    return P >= 4 && avx2Available() ? "avx2" : "portable";
 }
 
 } // namespace rmp::sim

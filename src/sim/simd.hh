@@ -1,18 +1,21 @@
 /**
  * @file
- * Public surface of the explicit-SIMD tape backend (DESIGN.md §3h).
+ * The tape kernel's CPU dispatch (DESIGN.md §3h, "Kernel and CPU
+ * dispatch").
  *
  * simdEvalOps() evaluates a tape's op program over the SoA value array
- * with platform vector kernels — one dispatch per levelized same-opcode
- * run instead of per op. ISA selection happens once per call:
+ * with one vector kernel, evalOpsVec, fusing each levelized same-opcode
+ * run into one loop instead of dispatching per op. The vector type is
+ * chosen once per call:
  *
- *   P >= 4 and the CPU has AVX2  ->  4-lane AVX2 kernel (separate TU,
- *                                    only one compiled with -mavx2)
- *   P a multiple of the baseline ->  SSE2 / NEON / portable 4-lane
- *   otherwise (P in {1, 2})      ->  scalar kernel
+ *   P >= 4 and the CPU has AVX2  ->  VAvx2, four lanes per register
+ *                                    (separate TU, the only one
+ *                                    compiled with -mavx2)
+ *   otherwise                    ->  portable VPort<P>, one value per
+ *                                    slot row
  *
- * Bit-identical to the interpreted Simulator and the computed-goto tape
- * kernel by construction; the differential suites enforce it.
+ * Bit-identical to the interpreted Simulator by construction; the
+ * differential suites enforce it.
  */
 
 #ifndef SIM_SIMD_HH
@@ -29,8 +32,8 @@ namespace rmp::sim
  *  (vals[slot * P + lane]; P a power of two in [1, kMaxLanes]). */
 void simdEvalOps(const Tape &tp, uint64_t *vals, unsigned P);
 
-/** Name of the kernel simdEvalOps would pick for @p P physical lanes
- *  on this machine: "avx2", "sse2", "neon", "portable", or "scalar". */
+/** Name of the vector type simdEvalOps picks for @p P physical lanes
+ *  on this machine: "avx2" or "portable". */
 const char *simdIsa(unsigned P);
 
 } // namespace rmp::sim

@@ -6,10 +6,11 @@
  * the flag per-source when the compiler supports it and defines
  * RMP_SIMD_AVX2_TU); simd.cc calls in here only after a runtime
  * __builtin_cpu_supports("avx2") check, so the rest of the binary stays
- * runnable on baseline x86-64. AVX2 gives native forms for everything
- * the SSE2 kernel had to compose or scalarize: 64-bit compares, per-lane
- * variable shifts (whose count >= 64 -> 0 semantics exactly match the
- * tape's), and byte blends for Mux.
+ * runnable on baseline x86-64. AVX2 gives direct forms for 64-bit
+ * equality, per-lane variable shifts (whose count >= 64 -> 0 semantics
+ * exactly match the tape's), and byte blends for Mux; the 64-bit
+ * multiply is composed from 32-bit partial products and the unsigned
+ * compare from the signed one.
  */
 
 #include "sim/simd_kernels.hh"
@@ -144,13 +145,13 @@ simdEvalOpsAvx2(const Tape &tp, uint64_t *vals, unsigned P)
 #elif defined(RMP_SIMD_AVX2_TU)
 
 // Flag was set but __AVX2__ is absent (unexpected toolchain): keep the
-// symbol so simd.cc links, backed by the wide portable kernel.
+// symbol so simd.cc links, backed by the portable four-lane kernel.
 namespace rmp::sim::detail
 {
 void
 simdEvalOpsAvx2(const Tape &tp, uint64_t *vals, unsigned P)
 {
-    evalOpsVec<VWide>(tp, vals, P);
+    evalOpsVec<VPort<4>>(tp, vals, P);
 }
 } // namespace rmp::sim::detail
 

@@ -26,8 +26,8 @@
  *
  * Ops are emitted level by level (longest path from a register, input,
  * or constant), grouped by opcode within a level — any level order is a
- * valid evaluation order, and the grouping gives BatchSim's dispatch
- * loop long same-opcode runs to amortize its indirect jumps over.
+ * valid evaluation order, and the grouping gives BatchSim's kernel
+ * long same-opcode runs to amortize its one opcode test per run over.
  *
  * The interpreted Simulator remains the reference oracle: the tape is
  * only trusted because test_sim_compiled replays seeded random programs

@@ -22,8 +22,8 @@
  *  - Undetermined: the verdict alone (budget exhaustion carries no
  *    evidence), still keyed by the budget via the canonical bytes.
  *
- * Durability and corruption follow the native-codegen `.so` cache's
- * paranoid discipline (sim/codegen, common/cachedir): records are
+ * Durability and corruption handling are paranoid (common/cachedir
+ * provides the atomic publish): records are
  * published by write-to-tmp + fsync + rename, every load re-checks magic,
  * version, length, and checksum, and anything that fails is quarantined
  * (renamed *.corrupt) and counted rather than trusted. Two processes

@@ -85,7 +85,6 @@ engineConfigFor(const designs::Harness &hx, const ift::Instrumented &inst,
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;
     ec.compiledReplay = true;
-    ec.simBackend = config.simBackend;
     if (config.staticPrune) {
         ec.staticPrune = true;
         // Facts are over the instrumented design (the one the pool's

@@ -34,6 +34,14 @@
 #include "ift/instrument.hh"
 #include "uhb/graph.hh"
 
+namespace rmp::sim
+{
+/** Leftover of the removed simulation-backend choice, kept only for
+ *  `c.simBackend = sim::SimBackend::Simd;` in the benchmark harness
+ *  (rmpbench/src/oneshot.cc); delete it with that line. */
+enum class SimBackend : uint8_t { Simd };
+} // namespace rmp::sim
+
 namespace rmp::slc
 {
 
@@ -125,9 +133,10 @@ struct SynthLcConfig
      */
     unsigned simRuns = 160;
     uint64_t simSeed = 7;
-    /** Backend for compiled witness replay
-     *  (bmc::EngineConfig::simBackend). */
-    sim::SimBackend simBackend = sim::SimBackend::Tape;
+    /** Ignored: the simulation kernel is not selectable. Its only user
+     *  is `c.simBackend = sim::SimBackend::Simd;` in the benchmark
+     *  harness (rmpbench/src/oneshot.cc); delete it with that line. */
+    sim::SimBackend simBackend = sim::SimBackend::Simd;
     /**
      * Worker threads for parallel probe evaluation and taint simulation.
      * 0 = hardware_concurrency(). Results are identical for every value

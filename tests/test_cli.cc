@@ -184,18 +184,26 @@ TEST(Cli, SimLanesRejectsUnsupportedWidthsAtTheBoundary)
     }
 }
 
-TEST(Cli, SimBackendRejectsUnknownAndAcceptsKnown)
+TEST(Cli, MalformedNumericFlagFailsWithUsage)
 {
-    RunResult bad = run("bugs tiny3 --sim-backend bogus");
-    EXPECT_EQ(bad.status, 2);
-    EXPECT_TRUE(mentionsUsage(bad.output)) << bad.output;
-
-    RunResult simd = run("bugs tiny3 --sim-backend simd");
-    EXPECT_EQ(simd.status, 0) << simd.output;
-    RunResult tape = run("bugs tiny3 --sim-backend tape");
-    EXPECT_EQ(tape.status, 0) << tape.output;
-    // Backends are bit-identical, so the reports must agree too.
-    EXPECT_EQ(simd.output, tape.output);
+    // Every numeric option goes through one checked parser: garbage,
+    // trailing junk, an empty value, a sign on an unsigned option and an
+    // out-of-range value all exit 2 with the usage text naming the flag,
+    // never abort on an uncaught exception or truncate silently.
+    for (const char *bad :
+         {"--jobs abc", "--budget x", "--workers ''", "--sim-threads 1z",
+          "--timeout 99999999999", "--max-queue -1", "--priority 1.5",
+          "--max-bytes ' 7'", "--max-age-days 18446744073709551616"}) {
+        RunResult r = run(std::string("bugs tiny3 ") + bad);
+        EXPECT_EQ(r.status, 2) << bad << ": " << r.output;
+        EXPECT_TRUE(mentionsUsage(r.output)) << bad << ": " << r.output;
+        std::string flag(bad, std::strchr(bad, ' '));
+        EXPECT_NE(r.output.find("invalid " + flag), std::string::npos)
+            << bad << ": " << r.output;
+    }
+    // In-range values still parse, including a negative priority.
+    RunResult ok = run("bugs tiny3 --jobs 2 --sim-threads 1 --priority -3");
+    EXPECT_EQ(ok.status, 0) << ok.output;
 }
 
 TEST(Cli, CheckVerdictsRejectsUnknownMode)

@@ -355,7 +355,9 @@ struct RawConn
 
 TEST(Serve, CancelQueuedJob)
 {
-    TestServer ts;
+    // One worker: with more, the prove and synth keys may hash to
+    // different workers, and job 2 then runs instead of queueing.
+    TestServer ts(/*max_queue=*/64, /*use_store=*/true, /*workers=*/1);
     RawConn raw(ts.cfg.socketPath);
 
     // Pipeline three lines in one burst: a job the worker will pick

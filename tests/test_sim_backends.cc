@@ -1,32 +1,25 @@
 /**
  * @file
- * Differential tests for the SIMD and native execution backends
- * (DESIGN.md §3h, "Backend selection"). Two families:
+ * Differential tests for the tape kernel and its CPU dispatch
+ * (DESIGN.md §3h, "Kernel and CPU dispatch").
  *
- * 1. Boundary-width kernels. The vector kernels manipulate masked
- *    64-bit lanes, so the widths where mask handling can silently go
- *    wrong are 1 (everything collapses to one bit), 63 (the widest
- *    non-trivial mask, (1<<63)-1), and 64 (mask = ~0, where an
- *    unmasked shift≥width or carry out of bit 63 must wrap exactly).
- *    A width-65 case is impossible by construction: the IR caps every
- *    signal at 64 bits (Design::addBinary asserts concat ≤ 64), so the
- *    64-bit lane is the worst case, not a sample. Each width gets a
- *    toy design covering every tape opcode — including shift counts
- *    ≥ 64, which must yield 0 — replayed against the interpreted
- *    oracle on every backend × lane width.
- *
- * 2. Native-kernel cache behavior. The .so cache must hit (memory,
- *    then disk), miss on a stale fingerprint, reject a corrupted
- *    object, and fall back to the SIMD interpreter when no compiler
- *    is available — each observable through NativeKernel::stats() and
- *    BatchSim::activeBackend(), and none ever allowed to produce a
- *    wrong value.
+ * The kernel manipulates masked 64-bit lanes, so the widths where mask
+ * handling can silently go wrong are 1 (everything collapses to one
+ * bit), 63 (the widest non-trivial mask, (1<<63)-1), and 64 (mask = ~0,
+ * where an unmasked shift≥width or carry out of bit 63 must wrap
+ * exactly). A width-65 case is impossible by construction: the IR caps
+ * every signal at 64 bits (Design::addBinary asserts concat ≤ 64), so
+ * the 64-bit lane is the worst case, not a sample. Each width gets a toy
+ * design covering every tape opcode — including shift counts ≥ 64,
+ * which must yield 0 — replayed against the interpreted oracle at every
+ * lane width, both through BatchSim's dispatch (AVX2 where the CPU has
+ * it) and through the portable VPort<P> kernel called directly, so an
+ * AVX2 host still checks the portable path at every width.
  */
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <fstream>
+#include <algorithm>
 #include <random>
 #include <string>
 #include <vector>
@@ -34,8 +27,8 @@
 #include "designs/harness.hh"
 #include "designs/tiny3.hh"
 #include "sim/batch.hh"
-#include "sim/codegen.hh"
 #include "sim/simd.hh"
+#include "sim/simd_kernels.hh"
 #include "sim/simulator.hh"
 #include "sim/tape.hh"
 
@@ -43,35 +36,6 @@ using namespace rmp;
 
 namespace
 {
-
-/** Point the native-kernel disk cache at a fresh private directory:
- *  ctest runs suites in parallel, so tests that count disk hits or
- *  plant corrupted objects must not share ~/.cache/rmp. */
-class ScopedCacheDir
-{
-  public:
-    ScopedCacheDir()
-    {
-        char tmpl[] = "/tmp/rmp-backends-XXXXXX";
-        dir_ = mkdtemp(tmpl);
-        if (const char *old = std::getenv("RMP_CACHE_DIR"))
-            saved_ = old;
-        setenv("RMP_CACHE_DIR", dir_.c_str(), 1);
-    }
-    ~ScopedCacheDir()
-    {
-        if (saved_.empty())
-            unsetenv("RMP_CACHE_DIR");
-        else
-            setenv("RMP_CACHE_DIR", saved_.c_str(), 1);
-        std::system(("rm -rf " + dir_).c_str());
-    }
-    const std::string &dir() const { return dir_; }
-
-  private:
-    std::string dir_;
-    std::string saved_;
-};
 
 /**
  * A toy design at bit width @p w exercising every tape opcode: the
@@ -148,191 +112,154 @@ randomProgram(const Design &d, unsigned cycles, uint64_t seed)
     return prog;
 }
 
+/**
+ * The tape stepped on the portable kernel evalOpsVec<VPort<P>>, called
+ * directly so BatchSim's CPU dispatch cannot substitute AVX2. Input
+ * masking, pre-latch watch frames and the two-phase latch follow
+ * BatchSim::step; only the op program's kernel is pinned.
+ */
+template <unsigned P>
+class PortableSim
+{
+  public:
+    explicit PortableSim(const sim::Tape &tape)
+        : tp(tape), vals_(size_t(tape.numSlots) * P),
+          in_(tape.numInputs() * P)
+    {
+        for (uint32_t s = 0; s < tp.numSlots; s++)
+            std::fill_n(&vals_[size_t(s) * P], P, tp.init[s]);
+    }
+
+    void clearInputs() { std::fill(in_.begin(), in_.end(), 0); }
+
+    void
+    stageInputs(unsigned lane, const InputMap &in)
+    {
+        for (const auto &[sig, v] : in)
+            if (tp.inputOrdinal[sig] != sim::kNoInput)
+                in_[size_t(tp.inputOrdinal[sig]) * P + lane] = v;
+    }
+
+    void
+    step()
+    {
+        for (size_t j = 0; j < tp.inputs.size(); j++)
+            for (unsigned l = 0; l < P; l++)
+                row(tp.inputs[j].slot)[l] = in_[j * P + l] &
+                                            tp.inputs[j].mask;
+        sim::detail::evalOpsVec<sim::detail::VPort<P>>(tp, vals_.data(),
+                                                       P);
+        for (sim::Slot s : tp.watchSlots)
+            frames_.insert(frames_.end(), row(s), row(s) + P);
+        std::vector<uint64_t> next;
+        for (const sim::Tape::Latch &lt : tp.latches)
+            next.insert(next.end(), row(lt.next), row(lt.next) + P);
+        for (size_t j = 0; j < tp.latches.size(); j++)
+            std::copy_n(&next[j * P], P, row(tp.latches[j].reg));
+    }
+
+    uint64_t
+    watched(size_t t, size_t k, unsigned lane) const
+    {
+        return frames_[(t * tp.watchSlots.size() + k) * P + lane];
+    }
+
+  private:
+    uint64_t *row(sim::Slot s) { return &vals_[size_t(s) * P]; }
+
+    const sim::Tape &tp;
+    std::vector<uint64_t> vals_, in_, frames_;
+};
+
 /** Mismatching (cycle, watch, lane) positions vs the interpreted
- *  oracle when running on @p backend with @p lanes lanes. */
+ *  oracle when @p engine (a BatchSim or PortableSim over @p tape) runs
+ *  @p lanes seeded random programs. */
+template <typename Engine>
 size_t
-diffCount(const Design &d, const sim::Tape &tape, unsigned lanes,
-          sim::SimBackend backend, unsigned cycles, uint64_t seed)
+diffAgainstOracle(const Design &d, const sim::Tape &tape, Engine &engine,
+                  unsigned lanes, unsigned cycles, uint64_t seed)
 {
     std::vector<std::vector<InputMap>> progs;
     for (unsigned l = 0; l < lanes; l++)
         progs.push_back(randomProgram(d, cycles, seed + 1000 * l));
-    sim::BatchSim bs(tape, lanes, backend);
-    bs.reserveTrace(cycles);
     std::vector<Simulator> oracle;
     for (unsigned l = 0; l < lanes; l++)
         oracle.emplace_back(d);
     size_t diffs = 0;
     for (unsigned t = 0; t < cycles; t++) {
-        bs.clearInputs();
+        engine.clearInputs();
         for (unsigned l = 0; l < lanes; l++) {
-            bs.stageInputs(l, progs[l][t]);
+            engine.stageInputs(l, progs[l][t]);
             oracle[l].step(progs[l][t]);
         }
-        bs.step();
+        engine.step();
         for (unsigned l = 0; l < lanes; l++)
             for (size_t k = 0; k < tape.watchSigs.size(); k++)
-                if (bs.watched(t, k, l) !=
+                if (engine.watched(t, k, l) !=
                     oracle[l].value(tape.watchSigs[k]))
                     diffs++;
     }
     return diffs;
 }
 
+/** diffAgainstOracle on BatchSim, i.e. the kernel the CPU dispatch
+ *  picks for @p lanes. */
+size_t
+diffCount(const Design &d, const sim::Tape &tape, unsigned lanes,
+          unsigned cycles, uint64_t seed)
+{
+    sim::BatchSim bs(tape, lanes);
+    bs.reserveTrace(cycles);
+    return diffAgainstOracle(d, tape, bs, lanes, cycles, seed);
+}
+
+/** diffAgainstOracle on the portable kernel at P lanes. */
+template <unsigned P>
+size_t
+portableDiffCount(const Design &d, const sim::Tape &tape, unsigned cycles,
+                  uint64_t seed)
+{
+    PortableSim<P> ps(tape);
+    return diffAgainstOracle(d, tape, ps, P, cycles, seed);
+}
+
 } // namespace
 
 TEST(SimBackends, BoundaryWidthsMatchOracleOnEveryBackendAndLaneWidth)
 {
-    ScopedCacheDir cache;
-    const bool haveCc = sim::nativeCompilerAvailable();
     for (unsigned w : {1u, 63u, 64u}) {
         Design d = buildBoundary(w);
         sim::Tape tape = sim::compileTape(d, watchAll(d));
-        for (unsigned lanes : {1u, 2u, 4u, 8u, 16u}) {
-            EXPECT_EQ(diffCount(d, tape, lanes, sim::SimBackend::Simd,
-                                32, 101 + w),
-                      0u)
-                << "simd width " << w << " lanes " << lanes;
-            if (haveCc)
-                EXPECT_EQ(diffCount(d, tape, lanes,
-                                    sim::SimBackend::Native, 32,
-                                    101 + w),
-                          0u)
-                    << "native width " << w << " lanes " << lanes;
-        }
+        const uint64_t seed = 101 + w;
+        for (unsigned lanes : {1u, 2u, 4u, 8u, 16u})
+            EXPECT_EQ(diffCount(d, tape, lanes, 32, seed), 0u)
+                << sim::simdIsa(lanes) << " width " << w << " lanes "
+                << lanes;
+        // The portable kernel at every width, whatever the host picks.
+        const size_t portable[] = {
+            portableDiffCount<1>(d, tape, 32, seed),
+            portableDiffCount<2>(d, tape, 32, seed),
+            portableDiffCount<4>(d, tape, 32, seed),
+            portableDiffCount<8>(d, tape, 32, seed),
+            portableDiffCount<16>(d, tape, 32, seed)};
+        for (unsigned i = 0; i < 5; i++)
+            EXPECT_EQ(portable[i], 0u)
+                << "portable width " << w << " lanes " << (1u << i);
     }
 }
 
 TEST(SimBackends, SimdIsaReportsSomething)
 {
-    // Whatever the host is, the dispatcher must name its choice.
+    // Whatever the host is, the dispatcher must name its choice, and
+    // narrow batches never take the four-lane AVX2 path.
     for (unsigned p : {1u, 2u, 4u, 8u, 16u}) {
-        const char *isa = sim::simdIsa(p);
-        ASSERT_NE(isa, nullptr);
-        EXPECT_GT(std::string(isa).size(), 0u) << "P=" << p;
+        const std::string isa = sim::simdIsa(p);
+        EXPECT_TRUE(isa == "avx2" || isa == "portable")
+            << "P=" << p << ": " << isa;
+        if (p < 4) {
+            EXPECT_EQ(isa, "portable") << "P=" << p;
+        }
     }
-}
-
-TEST(SimBackends, NativeCacheHitsMemoryThenDisk)
-{
-    if (!sim::nativeCompilerAvailable())
-        GTEST_SKIP() << "no C compiler on this host";
-    ScopedCacheDir cache;
-    designs::Harness hx(designs::buildTiny3());
-    sim::Tape tape =
-        sim::compileTape(hx.design(), watchAll(hx.design()));
-
-    sim::NativeKernel::resetStats();
-    auto k1 = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_NE(k1, nullptr);
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 1u);
-
-    // Same tape while k1 is alive: the in-process registry answers.
-    auto k2 = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_EQ(k2.get(), k1.get());
-    EXPECT_EQ(sim::NativeKernel::stats().memHits, 1u);
-
-    // Drop every reference, acquire again: the .so on disk answers.
-    std::string so = k1->path();
-    k1.reset();
-    k2.reset();
-    auto k3 = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_NE(k3, nullptr);
-    EXPECT_EQ(sim::NativeKernel::stats().diskHits, 1u);
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 1u);
-    EXPECT_EQ(k3->path(), so);
-
-    // A different lane count is a different kernel (lanes are baked
-    // into the emitted C), so it compiles fresh.
-    auto k8 = sim::NativeKernel::acquire(tape, 8);
-    ASSERT_NE(k8, nullptr);
-    EXPECT_NE(k8->fingerprint(), k3->fingerprint());
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 2u);
-}
-
-TEST(SimBackends, NativeStaleFingerprintMisses)
-{
-    if (!sim::nativeCompilerAvailable())
-        GTEST_SKIP() << "no C compiler on this host";
-    ScopedCacheDir cache;
-    designs::Harness hx(designs::buildTiny3());
-    const Design &d = hx.design();
-    sim::Tape tape = sim::compileTape(d, watchAll(d));
-
-    // Plant the WRONG kernel at the tape's cache path: a valid .so
-    // whose embedded fingerprint belongs to a different tape (the
-    // same tape at a different lane count).
-    auto other = sim::NativeKernel::acquire(tape, 2);
-    ASSERT_NE(other, nullptr);
-    uint64_t fp = sim::tapeFingerprint(tape, 4);
-    char hex[32];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    std::string victim =
-        sim::nativeCacheDir() + "/tape-" + hex + ".so";
-    ASSERT_EQ(std::system(
-                  ("cp " + other->path() + " " + victim).c_str()),
-              0);
-
-    sim::NativeKernel::resetStats();
-    auto k = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_NE(k, nullptr);
-    EXPECT_EQ(sim::NativeKernel::stats().rejected, 1u)
-        << "the stale object must be unlinked, not trusted";
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 1u);
-    EXPECT_EQ(k->fingerprint(), fp);
-}
-
-TEST(SimBackends, NativeCorruptedObjectIsRejectedAndRebuilt)
-{
-    if (!sim::nativeCompilerAvailable())
-        GTEST_SKIP() << "no C compiler on this host";
-    ScopedCacheDir cache;
-    designs::Harness hx(designs::buildTiny3());
-    const Design &d = hx.design();
-    sim::Tape tape = sim::compileTape(d, watchAll(d));
-
-    uint64_t fp = sim::tapeFingerprint(tape, 4);
-    char hex[32];
-    std::snprintf(hex, sizeof hex, "%016llx",
-                  static_cast<unsigned long long>(fp));
-    std::string so = sim::nativeCacheDir() + "/tape-" + hex + ".so";
-    {
-        std::ofstream f(so, std::ios::binary);
-        f << "this is not an ELF object";
-    }
-
-    sim::NativeKernel::resetStats();
-    auto k = sim::NativeKernel::acquire(tape, 4);
-    ASSERT_NE(k, nullptr);
-    EXPECT_EQ(sim::NativeKernel::stats().rejected, 1u);
-    EXPECT_EQ(sim::NativeKernel::stats().compiles, 1u);
-    // And the rebuilt kernel computes correctly.
-    EXPECT_EQ(diffCount(d, tape, 4, sim::SimBackend::Native, 16, 7),
-              0u);
-}
-
-TEST(SimBackends, MissingCompilerFallsBackToSimd)
-{
-    ScopedCacheDir cache;
-    setenv("RMP_CC", "/nonexistent/definitely-not-a-compiler", 1);
-    designs::Harness hx(designs::buildTiny3());
-    const Design &d = hx.design();
-    sim::Tape tape = sim::compileTape(d, watchAll(d));
-
-    EXPECT_FALSE(sim::nativeCompilerAvailable());
-    sim::NativeKernel::resetStats();
-    EXPECT_EQ(sim::NativeKernel::acquire(tape, 4), nullptr);
-    EXPECT_GE(sim::NativeKernel::stats().fallbacks, 1u);
-
-    // Requesting the native backend must degrade, not fail: BatchSim
-    // lands on the SIMD interpreter and still matches the oracle.
-    sim::BatchSim bs(tape, 4, sim::SimBackend::Native);
-    EXPECT_EQ(bs.backend(), sim::SimBackend::Native);
-    EXPECT_EQ(bs.activeBackend(), sim::SimBackend::Simd);
-    EXPECT_EQ(diffCount(d, tape, 4, sim::SimBackend::Native, 16, 9),
-              0u);
-    unsetenv("RMP_CC");
 }
 
 TEST(SimBackends, FoldCacheReusesAcrossCompilesOfOneDesign)
@@ -358,6 +285,6 @@ TEST(SimBackends, FoldCacheReusesAcrossCompilesOfOneDesign)
     EXPECT_EQ(t1.mask, t3.mask);
     // And the cached folding is watch-set independent: both tapes
     // still match the oracle exactly.
-    EXPECT_EQ(diffCount(d, t2, 2, sim::SimBackend::Simd, 16, 31), 0u);
-    EXPECT_EQ(diffCount(d, t3, 2, sim::SimBackend::Simd, 16, 33), 0u);
+    EXPECT_EQ(diffCount(d, t2, 2, 16, 31), 0u);
+    EXPECT_EQ(diffCount(d, t3, 2, 16, 33), 0u);
 }

@@ -7,11 +7,13 @@
  * documented in docs/TUTORIAL.md along with a Perfetto walkthrough.
  */
 
+#include <charconv>
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -83,19 +85,12 @@ usage(std::FILE *f)
         "                 identical for every value)\n"
         "  --sim-lanes N  SoA lanes per compiled-simulation batch\n"
         "                 (supported widths: 1-16, rounded up to a power\n"
-        "                 of two; default 8; results identical for every\n"
-        "                 value)\n"
+        "                 of two; default 8; from 4 lanes up the kernel\n"
+        "                 uses AVX2 when the CPU has it; results identical\n"
+        "                 for every value)\n"
         "  --sim-threads N\n"
         "                 threads fanning compiled-simulation batches\n"
         "                 (default 4; results identical for every value)\n"
-        "  --sim-backend interp|tape|simd|native\n"
-        "                 simulation execution backend (default simd):\n"
-        "                 'interp' = interpreted reference simulator,\n"
-        "                 'tape' = compiled op-tape interpreter, 'simd' =\n"
-        "                 explicit vector kernels, 'native' = per-design\n"
-        "                 compiled C (falls back to simd without a C\n"
-        "                 compiler); results identical for every backend\n"
-        "  --sim-interp   shorthand for --sim-backend interp\n"
         "  --coi          unroll only each query's sequential cone of\n"
         "                 influence (verdicts unchanged; prints COI stats)\n"
         "  --static-prune / --no-static-prune\n"
@@ -159,6 +154,32 @@ usageError(const char *fmt, const char *arg)
     std::exit(2);
 }
 
+/**
+ * The argument @p v of numeric option @p flag as a T in [lo, hi]. Every
+ * numeric option goes through here, so text that is not a whole decimal
+ * number (empty, trailing junk, a sign on an unsigned option) or lies
+ * outside the range is a usage error naming the flag.
+ */
+template <typename T>
+T
+parseNumber(const char *flag, const std::string &v,
+            T lo = std::numeric_limits<T>::min(),
+            T hi = std::numeric_limits<T>::max(),
+            const char *what = "values")
+{
+    T n{};
+    const char *end = v.data() + v.size();
+    auto [ptr, ec] = std::from_chars(v.data(), end, n);
+    if (ec != std::errc() || ptr != end || n < lo || n > hi) {
+        std::string msg = "invalid " + std::string(flag) + " '" + v +
+                          "' (supported " + what + ": " +
+                          std::to_string(lo) + " to " +
+                          std::to_string(hi) + ")";
+        usageError("%s", msg.c_str());
+    }
+    return n;
+}
+
 DuvUnderConstruction
 buildByName(const std::string &name)
 {
@@ -198,8 +219,6 @@ struct CliOptions
     unsigned jobs = 0; // 0 = hardware_concurrency()
     unsigned simLanes = sim::kDefaultLanes;
     unsigned simThreads = 4;
-    bool simInterp = false;
-    sim::SimBackend simBackend = sim::SimBackend::Simd;
     std::string dotDir;
     std::string vcdFile;
     std::string traceFile;
@@ -231,7 +250,7 @@ parseOptions(int argc, char **argv, int first)
             return std::string(argv[++i]);
         };
         if (a == "--budget")
-            o.budget = std::stoull(need("--budget"));
+            o.budget = parseNumber<uint64_t>("--budget", need("--budget"));
         else if (a == "--closure")
             o.closure = true;
         else if (a == "--counts")
@@ -263,40 +282,16 @@ parseOptions(int argc, char **argv, int first)
         else if (a == "--progress")
             o.progress = true;
         else if (a == "--jobs")
-            o.jobs = static_cast<unsigned>(std::stoul(need("--jobs")));
-        else if (a == "--sim-lanes") {
-            // Validate at the CLI boundary: BatchSim asserts on bad lane
-            // counts, which is a crash, not a diagnostic.
-            std::string v = need("--sim-lanes");
-            char *end = nullptr;
-            unsigned long n = std::strtoul(v.c_str(), &end, 10);
-            if (end == v.c_str() || *end != '\0' || n < 1 ||
-                n > sim::kMaxLanes)
-                usageError("invalid --sim-lanes '%s' (supported widths: "
-                           "1 to 16, rounded up to a power of two)",
-                           v.c_str());
-            o.simLanes = static_cast<unsigned>(n);
-        }
-        else if (a == "--sim-backend") {
-            std::string v = need("--sim-backend");
-            if (v == "interp")
-                o.simInterp = true;
-            else if (v == "tape")
-                o.simBackend = sim::SimBackend::Tape;
-            else if (v == "simd")
-                o.simBackend = sim::SimBackend::Simd;
-            else if (v == "native")
-                o.simBackend = sim::SimBackend::Native;
-            else
-                usageError("unknown --sim-backend '%s' (choose interp, "
-                           "tape, simd, or native)",
-                           v.c_str());
-        }
+            o.jobs = parseNumber<unsigned>("--jobs", need("--jobs"));
+        else if (a == "--sim-lanes")
+            // BatchSim asserts on bad lane counts, which is a crash, not
+            // a diagnostic.
+            o.simLanes = parseNumber<unsigned>(
+                "--sim-lanes", need("--sim-lanes"), 1, sim::kMaxLanes,
+                "widths");
         else if (a == "--sim-threads")
             o.simThreads =
-                static_cast<unsigned>(std::stoul(need("--sim-threads")));
-        else if (a == "--sim-interp")
-            o.simInterp = true;
+                parseNumber<unsigned>("--sim-threads", need("--sim-threads"));
         else if (a == "--store")
             o.store = true;
         else if (a == "--store-root")
@@ -306,23 +301,25 @@ parseOptions(int argc, char **argv, int first)
         else if (a == "--socket")
             o.socket = need("--socket");
         else if (a == "--workers")
-            o.workers =
-                static_cast<unsigned>(std::stoul(need("--workers")));
+            o.workers = parseNumber<unsigned>("--workers", need("--workers"));
         else if (a == "--max-queue")
             o.maxQueue =
-                static_cast<unsigned>(std::stoul(need("--max-queue")));
+                parseNumber<unsigned>("--max-queue", need("--max-queue"));
         else if (a == "--follow")
             o.follow = true;
         else if (a == "--max-bytes")
-            o.gcMaxBytes = std::stoull(need("--max-bytes"));
+            o.gcMaxBytes =
+                parseNumber<uint64_t>("--max-bytes", need("--max-bytes"));
         else if (a == "--max-age-days")
-            o.gcMaxAgeDays = std::stoull(need("--max-age-days"));
+            o.gcMaxAgeDays = parseNumber<uint64_t>("--max-age-days",
+                                                   need("--max-age-days"));
         else if (a == "--no-store")
             o.noStore = true;
         else if (a == "--priority")
-            o.priority = std::stoll(need("--priority"));
+            o.priority =
+                parseNumber<int64_t>("--priority", need("--priority"));
         else if (a == "--timeout")
-            o.timeoutMs = static_cast<int>(std::stol(need("--timeout")));
+            o.timeoutMs = parseNumber<int>("--timeout", need("--timeout"));
         else if (a == "--dot")
             o.dotDir = need("--dot");
         else if (a == "--vcd")
@@ -351,11 +348,8 @@ synthConfig(const CliOptions &o)
     c.staticPrune = o.staticPrune;
     c.auditReplay = o.checkReplay;
     c.auditProof = o.checkProof;
-    c.explore.engine = o.simInterp ? r2m::SimEngine::Interpreted
-                                   : r2m::SimEngine::Compiled;
     c.explore.lanes = o.simLanes;
     c.explore.threads = o.simThreads;
-    c.explore.backend = o.simBackend;
     return c;
 }
 
@@ -544,7 +538,6 @@ cmdLeakage(const std::string &duv, const std::string &instr,
     lc.staticPrune = o.staticPrune;
     lc.auditReplay = o.checkReplay;
     lc.auditProof = o.checkProof;
-    lc.simBackend = o.simBackend;
     lc.store = store.get();
     slc::SynthLc slc(hx, lc);
     uhb::InstrId p = hx.duv().instrId(instr);
@@ -582,7 +575,6 @@ cmdContracts(const std::string &duv, const CliOptions &o)
     lc.staticPrune = o.staticPrune;
     lc.auditReplay = o.checkReplay;
     lc.auditProof = o.checkProof;
-    lc.simBackend = o.simBackend;
     lc.store = store.get();
     slc::SynthLc slc(hx, lc);
     std::vector<std::string> names = o.instrs;
