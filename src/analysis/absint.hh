@@ -24,10 +24,10 @@
  * transfer-function monotonicity bug rather than looping.
  *
  * Soundness of the consumers (static cover pruning, tape const-folding,
- * mux-arm COI narrowing, the absint lint rules) reduces to one claim,
- * argued in DESIGN.md §3i: facts().val[s] contains every value cell s
- * takes on any reachable-from-reset trace. Anything proven impossible
- * here is impossible in every bounded unrolling and every simulation.
+ * the absint lint rules) reduces to one claim, argued in DESIGN.md §3i:
+ * facts().val[s] contains every value cell s takes on any
+ * reachable-from-reset trace. Anything proven impossible here is
+ * impossible in every bounded unrolling and every simulation.
  */
 
 #ifndef ANALYSIS_ABSINT_HH
@@ -147,9 +147,8 @@ void absSeal(const Design &d, AbsFacts &f);
  * Per-Mux statically-fixed select values: muxSel[id] is 0 or 1 when
  * @p facts proves cell id is a Mux whose select is that constant on
  * every reachable cycle, -1 otherwise (including non-Mux cells). The
- * contract consumed by COI mux-arm narrowing: analysis::backwardCone
- * and bmc::Unrolling must be given the SAME vector so the narrowed
- * cone stays closed under exactly the edges the unroller reads.
+ * lint's dead-mux-arm rule reports each fixed select: the other arm's
+ * logic never reaches the mux output.
  */
 std::vector<int8_t> muxSelectFacts(const Design &d, const AbsFacts &facts);
 

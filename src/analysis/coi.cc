@@ -9,28 +9,11 @@
 namespace rmp::analysis
 {
 
-namespace
-{
-
-/** splitmix64 finalizer (the repo's standard hash combiner). */
-inline uint64_t
-mix64(uint64_t x)
-{
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-}
-
-} // anonymous namespace
-
 Cone
 backwardCone(const Design &d, const std::vector<SigId> &roots,
-             int maxRegDepth, const std::vector<int8_t> *muxSel)
+             int maxRegDepth)
 {
     size_t n = d.numCells();
-    rmp_assert(!muxSel || muxSel->size() == n,
-               "backwardCone: muxSel size mismatch");
     // depth[id] = fewest register boundaries crossed to reach id from a
     // root; kUnseen = not reached. Comb edges keep the depth, crossing a
     // register's next-state connection adds one, so a breadth-first wave
@@ -57,16 +40,7 @@ backwardCone(const Design &d, const std::vector<SigId> &roots,
                 continue;
             arg_depth = dep + 1;
         }
-        // Mux-arm narrowing: when absint proved the select constant, the
-        // unroller reads only the taken arm (neither the select nor the
-        // dead arm), so the cone need not include their fan-in. The SAME
-        // muxSel vector must be handed to bmc::Unrolling — the cone stays
-        // closed under exactly the edges buildFrame() follows.
-        int8_t fixed_sel =
-            (muxSel && c.op == Op::Mux) ? (*muxSel)[id] : int8_t(-1);
         for (unsigned i = 0; i < 3 && c.args[i] != kNoSig; i++) {
-            if (fixed_sel >= 0 && i != (fixed_sel ? 1u : 2u))
-                continue;
             SigId a = c.args[i];
             if (depth[a] <= arg_depth)
                 continue;
@@ -84,21 +58,16 @@ backwardCone(const Design &d, const std::vector<SigId> &roots,
 
     Cone cone;
     cone.inCone.assign(n, 0);
-    uint64_t fp = mix64(0x5ca1ab1e ^ n);
     for (SigId id = 0; id < n; id++) {
         if (depth[id] == kUnseen)
             continue;
         cone.inCone[id] = 1;
         cone.cells.push_back(id);
-        // cells is built in ascending SigId order, so the digest is
-        // canonical for the member set.
-        fp = mix64(fp ^ id);
         if (d.cell(id).op == Op::Reg)
             cone.regs.push_back(id);
         else if (d.cell(id).op == Op::Input)
             cone.inputs.push_back(id);
     }
-    cone.fingerprint = fp;
     return cone;
 }
 

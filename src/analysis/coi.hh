@@ -11,14 +11,8 @@
  *    default, i.e. the classical cone of influence / transitive support);
  *  - forwardReach(): every cell the roots can influence (fan-out).
  *
- * The backward fixpoint cone is the soundness basis for COI-pruned BMC
- * (bmc::Engine with EngineConfig::coiPruning): a cover/assume property's
- * verdict depends only on its support signals, and the unbounded backward
- * cone of those signals is closed under every dependency edge the
- * unroller follows — a register in the cone brings its next-state logic,
- * a comb cell brings its operands — so unrolling only the cone yields a
- * formula equisatisfiable with the full-design unrolling restricted to
- * the property (DESIGN.md §3e).
+ * backwardCone() backs the lint's liveness rules (dead-cell,
+ * never-read-reg; DESIGN.md §3e).
  */
 
 #ifndef ANALYSIS_COI_HH
@@ -43,12 +37,6 @@ struct Cone
     std::vector<SigId> regs;
     /** Member inputs (sorted). */
     std::vector<SigId> inputs;
-    /**
-     * Order-independent structural digest of the member set (over the
-     * design it was computed from). Folded into exec::QueryCache keys so
-     * pruned and unpruned runs never share memoized verdicts.
-     */
-    uint64_t fingerprint = 0;
 
     size_t size() const { return cells.size(); }
     bool
@@ -67,16 +55,10 @@ struct Cone
  * boundaries (< 0 = unlimited, the fixpoint cone). Registers reached at
  * the depth limit are members, but their next-state logic is not
  * explored; only the fixpoint cone (the default) is closed under
- * backward edges, which Unrolling requires of its restriction mask.
- *
- * A non-null @p muxSel (analysis::muxSelectFacts) narrows the traversal
- * through multiplexers whose select is statically fixed: only the taken
- * arm is followed. Callers MUST then hand the same vector to
- * bmc::Unrolling so the mask stays closed under the edges it reads.
+ * backward edges.
  */
 Cone backwardCone(const Design &d, const std::vector<SigId> &roots,
-                  int maxRegDepth = -1,
-                  const std::vector<int8_t> *muxSel = nullptr);
+                  int maxRegDepth = -1);
 
 /**
  * Forward reachability: cells whose value @p roots can influence, again

@@ -94,7 +94,8 @@ staticEval(const Design &design, const analysis::AbsFacts &facts,
 }
 
 Engine::Engine(const Design &design, const EngineConfig &config)
-    : d(design), cfg(config)
+    : d(design), cfg(config),
+      ctx_(design, config.auditProof, config.captureProof, config.queryLog)
 {
     rmp_assert(cfg.bound >= 1, "bound must be positive");
     if (cfg.staticPrune) {
@@ -104,47 +105,8 @@ Engine::Engine(const Design &design, const EngineConfig &config)
         rmp_assert(cfg.staticFacts->val.size() == d.numCells(),
                    "static facts cover %zu of %zu cells",
                    cfg.staticFacts->val.size(), d.numCells());
-        if (cfg.coiPruning)
-            muxSel_ = analysis::muxSelectFacts(d, *cfg.staticFacts);
     }
-    if (!cfg.coiPruning) {
-        full_ = std::make_unique<Ctx>(
-            d, std::vector<uint8_t>{}, std::vector<int8_t>{},
-            static_cast<uint32_t>(d.numCells()), cfg.auditProof,
-            cfg.captureProof, cfg.queryLog, 0);
-        full_->unrolling.ensureFrames(cfg.bound - 1);
-        ctxOrder_.push_back(full_.get());
-        coi_.conesBuilt = 1;
-    }
-}
-
-Engine::Ctx &
-Engine::ctxFor(const prop::ExprRef &seq,
-               const std::vector<prop::ExprRef> &assumes)
-{
-    if (!cfg.coiPruning)
-        return *full_;
-    std::vector<SigId> roots;
-    prop::collectSigs(seq, &roots);
-    for (const auto &a : assumes)
-        prop::collectSigs(a, &roots);
-    // The narrowed cone and the unrolling must share one muxSel vector:
-    // the cone omits exactly the cells the fixed muxes skip reading.
-    const std::vector<int8_t> *ms = muxSel_.empty() ? nullptr : &muxSel_;
-    analysis::Cone cone = analysis::backwardCone(d, roots, -1, ms);
-    auto it = cones_.find(cone.fingerprint);
-    if (it == cones_.end()) {
-        auto ctx = std::make_unique<Ctx>(
-            d, std::move(cone.inCone), muxSel_,
-            static_cast<uint32_t>(cone.size()), cfg.auditProof,
-            cfg.captureProof, cfg.queryLog,
-            static_cast<uint32_t>(ctxOrder_.size()));
-        ctx->unrolling.ensureFrames(cfg.bound - 1);
-        ctxOrder_.push_back(ctx.get());
-        it = cones_.emplace(cone.fingerprint, std::move(ctx)).first;
-        coi_.conesBuilt++;
-    }
-    return *it->second;
+    ctx_.unrolling.ensureFrames(cfg.bound - 1);
 }
 
 bool
@@ -164,14 +126,15 @@ Engine::staticallyFalse(const prop::ExprRef &seq,
 }
 
 sat::Lit
-Engine::satLit(Ctx &ctx, AigLit lit)
+Engine::satLit(AigLit lit)
 {
     // Iteratively Tseitin-encode the cone under `lit`.
-    sat::Solver &solver = ctx.solver;
-    std::vector<int32_t> &nodeVar = ctx.nodeVar;
+    sat::Solver &solver = ctx_.solver;
+    std::vector<int32_t> &nodeVar = ctx_.nodeVar;
+    const Aig &g = ctx_.unrolling.aig();
     uint32_t root = aigNode(lit);
-    if (nodeVar.size() < ctx.unrolling.aig().numNodes())
-        nodeVar.resize(ctx.unrolling.aig().numNodes(), -1);
+    if (nodeVar.size() < g.numNodes())
+        nodeVar.resize(g.numNodes(), -1);
     std::vector<uint32_t> stack{root};
     while (!stack.empty()) {
         uint32_t n = stack.back();
@@ -187,7 +150,6 @@ Engine::satLit(Ctx &ctx, AigLit lit)
             stack.pop_back();
             continue;
         }
-        const Aig &g = ctx.unrolling.aig();
         if (g.isInput(n)) {
             nodeVar[n] = solver.newVar();
             stack.pop_back();
@@ -273,8 +235,6 @@ Engine::run(const prop::ExprRef &seq,
         stats_.unreachable++;
         stats_.staticPruned++;
         stats_.totalSeconds += res.seconds;
-        coi_.queries++;
-        coi_.designCells += d.numCells();
         if (span.active()) {
             span.arg("outcome", static_cast<uint64_t>(res.outcome));
             span.arg("static_pruned", uint64_t{1});
@@ -289,8 +249,7 @@ Engine::run(const prop::ExprRef &seq,
         return res;
     }
 
-    Ctx &ctx = ctxFor(seq, assumes);
-    Unrolling &unrolling = ctx.unrolling;
+    Unrolling &unrolling = ctx_.unrolling;
     Aig &g = unrolling.aig();
 
     // Cover literal: OR over permitted start frames.
@@ -318,7 +277,7 @@ Engine::run(const prop::ExprRef &seq,
                 vacuous = true;
                 break;
             }
-            assumptions.push_back(satLit(ctx, l));
+            assumptions.push_back(satLit(l));
         }
         if (vacuous)
             break;
@@ -330,11 +289,11 @@ Engine::run(const prop::ExprRef &seq,
         res.outcome = Outcome::Unreachable;
     } else {
         // The shared assume literals go first and the per-query cover
-        // literal LAST: successive queries on one cone then present the
-        // solver with a common assumption prefix, and its trail saving
+        // literal LAST: successive queries on the engine then present
+        // the solver with a common assumption prefix, and its trail saving
         // keeps the assumes' propagation warm across the whole sweep
         // instead of re-deriving it per cover.
-        assumptions.push_back(satLit(ctx, cover_lit));
+        assumptions.push_back(satLit(cover_lit));
 
         // A remembered failed-assumption core that is a subset of this
         // query's assumption set decides it without searching: the core
@@ -342,10 +301,10 @@ Engine::run(const prop::ExprRef &seq,
         // instance's proof trace, is falsified outright by these
         // assumptions, so DRAT closure below still discharges the
         // verdict.
-        if (!ctx.failedCores.empty()) {
+        if (!ctx_.failedCores.empty()) {
             std::vector<sat::Lit> sorted = assumptions;
             std::sort(sorted.begin(), sorted.end());
-            for (const auto &core : ctx.failedCores)
+            for (const auto &core : ctx_.failedCores)
                 if (std::includes(sorted.begin(), sorted.end(),
                                   core.begin(), core.end())) {
                     core_hit = true;
@@ -354,22 +313,21 @@ Engine::run(const prop::ExprRef &seq,
         }
         sat::SatResult sres =
             core_hit ? sat::SatResult::Unsat
-                     : ctx.solver.solve(assumptions, cfg.budget);
+                     : ctx_.solver.solve(assumptions, cfg.budget);
         switch (sres) {
           case sat::SatResult::Sat:
             res.outcome = Outcome::Reachable;
-            res.witness = extractWitness(ctx, seq, assumes, &res.audit);
+            res.witness = extractWitness(seq, assumes, &res.audit);
             break;
           case sat::SatResult::Unsat:
             res.outcome = Outcome::Unreachable;
             // Stamp the verdict with its proof prefix: the recorder's
             // counts at this instant plus this query's assumptions are
             // exactly what an offline checker needs to re-close it.
-            if (ctx.recorder) {
+            if (ctx_.recorder) {
                 res.proof.valid = true;
-                res.proof.ctxOrdinal = ctx.ordinal;
-                res.proof.inputCount = ctx.recorder->inputs().clauses.size();
-                res.proof.stepCount = ctx.recorder->log().size();
+                res.proof.inputCount = ctx_.recorder->inputs().clauses.size();
+                res.proof.stepCount = ctx_.recorder->log().size();
                 res.proof.assumptions = assumptions;
             }
             // Trust-but-verify: close this unsat frame against the
@@ -377,13 +335,13 @@ Engine::run(const prop::ExprRef &seq,
             // learned clause was RUP when derived); checkUnsat() confirms
             // clauses + this query's assumption units propagate to a
             // conflict.
-            if (ctx.drat) {
+            if (ctx_.drat) {
                 res.audit.proofChecked = true;
-                if (!ctx.drat->ok()) {
+                if (!ctx_.drat->ok()) {
                     res.audit.mismatch = true;
                     res.audit.detail = "DRAT audit: " +
-                                       ctx.drat->firstFailure();
-                } else if (!ctx.drat->checkUnsat(assumptions)) {
+                                       ctx_.drat->firstFailure();
+                } else if (!ctx_.drat->checkUnsat(assumptions)) {
                     res.audit.mismatch = true;
                     res.audit.detail =
                         "DRAT audit: unsat verdict not closed by unit "
@@ -398,17 +356,17 @@ Engine::run(const prop::ExprRef &seq,
             if (!core_hit) {
                 constexpr size_t kMaxFailedCores = 64;
                 const std::vector<sat::Lit> &fc =
-                    ctx.solver.failedAssumptions();
+                    ctx_.solver.failedAssumptions();
                 if (!fc.empty() &&
-                    ctx.failedCores.size() < kMaxFailedCores) {
+                    ctx_.failedCores.size() < kMaxFailedCores) {
                     std::vector<sat::Lit> core = fc;
                     std::sort(core.begin(), core.end());
                     core.erase(std::unique(core.begin(), core.end()),
                                core.end());
-                    if (std::find(ctx.failedCores.begin(),
-                                  ctx.failedCores.end(),
-                                  core) == ctx.failedCores.end())
-                        ctx.failedCores.push_back(std::move(core));
+                    if (std::find(ctx_.failedCores.begin(),
+                                  ctx_.failedCores.end(),
+                                  core) == ctx_.failedCores.end())
+                        ctx_.failedCores.push_back(std::move(core));
                 }
             }
             break;
@@ -436,16 +394,12 @@ Engine::run(const prop::ExprRef &seq,
 
     auto t1 = std::chrono::steady_clock::now();
     res.seconds = std::chrono::duration<double>(t1 - t0).count();
-    res.coiCells = ctx.cells;
     res.aigNodes = g.numNodes();
-    res.satVars = static_cast<uint64_t>(ctx.solver.numVars());
+    res.satVars = static_cast<uint64_t>(ctx_.solver.numVars());
     stats_.queries++;
     stats_.totalSeconds += res.seconds;
     if (core_hit)
         stats_.assumptionCoreHits++;
-    coi_.queries++;
-    coi_.coneCells += ctx.cells;
-    coi_.designCells += d.numCells();
     switch (res.outcome) {
       case Outcome::Reachable: stats_.reachable++; break;
       case Outcome::Unreachable: stats_.unreachable++; break;
@@ -462,20 +416,18 @@ Engine::run(const prop::ExprRef &seq,
     }
     if (span.active()) {
         span.arg("outcome", static_cast<uint64_t>(res.outcome));
-        span.arg("coi_cells", res.coiCells);
         span.arg("aig_nodes", res.aigNodes);
         span.arg("sat_vars", res.satVars);
-        span.arg("cnf_clauses", ctx.solver.numClauses());
+        span.arg("cnf_clauses", ctx_.solver.numClauses());
         obs::Registry &reg = obs::Registry::global();
         reg.counter("bmc.queries",
                     {{"outcome", outcomeName(res.outcome)}})
             .add(1);
         reg.histogram("bmc.query_ns")
             .record(static_cast<uint64_t>(res.seconds * 1e9));
-        reg.histogram("bmc.coi.cone_cells").record(res.coiCells);
         reg.gauge("bmc.aig_nodes").set(static_cast<int64_t>(res.aigNodes));
         reg.gauge("bmc.cnf_clauses")
-            .set(static_cast<int64_t>(ctx.solver.numClauses()));
+            .set(static_cast<int64_t>(ctx_.solver.numClauses()));
         reg.gauge("bmc.sat_vars").set(static_cast<int64_t>(res.satVars));
         if (static_false)
             reg.counter("absint.covers_pruned").add(1);
@@ -491,55 +443,11 @@ Engine::run(const prop::ExprRef &seq,
     return res;
 }
 
-const sat::DratLogRecorder *
-Engine::proofContext(uint32_t ordinal) const
-{
-    if (ordinal >= ctxOrder_.size())
-        return nullptr;
-    return ctxOrder_[ordinal]->recorder.get();
-}
-
 CoiStats
 Engine::coiStats() const
 {
-    CoiStats s = coi_;
-    auto fold = [&](const Ctx &ctx) {
-        s.aigNodes += ctx.unrolling.aig().numNodes();
-        s.satVars += static_cast<uint64_t>(ctx.solver.numVars());
-    };
-    if (full_)
-        fold(*full_);
-    for (const auto &[fp, ctx] : cones_)
-        fold(*ctx);
-    return s;
-}
-
-sat::SatStats
-Engine::satStats() const
-{
-    sat::SatStats s;
-    auto fold = [&](const Ctx &ctx) {
-        const sat::SatStats &st = ctx.solver.stats();
-        s.conflicts += st.conflicts;
-        s.decisions += st.decisions;
-        s.propagations += st.propagations;
-        s.restarts += st.restarts;
-        s.learnedClauses += st.learnedClauses;
-        s.removedClauses += st.removedClauses;
-        s.dbReductions += st.dbReductions;
-        s.gcPasses += st.gcPasses;
-        s.assumptionConflicts += st.assumptionConflicts;
-        s.savedTrailLits += st.savedTrailLits;
-        s.lbdSum += st.lbdSum;
-        s.glueClauses += st.glueClauses;
-        for (size_t i = 0; i < st.lbdHist.size(); i++)
-            s.lbdHist[i] += st.lbdHist[i];
-    };
-    if (full_)
-        fold(*full_);
-    for (const auto &[fp, ctx] : cones_)
-        fold(*ctx);
-    return s;
+    return CoiStats{ctx_.unrolling.aig().numNodes(),
+                    static_cast<uint64_t>(ctx_.solver.numVars())};
 }
 
 namespace
@@ -645,7 +553,7 @@ Engine::replayTapeFor(const prop::ExprRef &seq,
 }
 
 Witness
-Engine::extractWitness(Ctx &ctx, const prop::ExprRef &seq,
+Engine::extractWitness(const prop::ExprRef &seq,
                        const std::vector<prop::ExprRef> &assumes,
                        VerdictAudit *audit)
 {
@@ -662,11 +570,11 @@ Engine::extractWitness(Ctx &ctx, const prop::ExprRef &seq,
             uint64_t val = 0;
             unsigned width = d.cell(in).width;
             for (unsigned bit = 0; bit < width; bit++) {
-                AigLit l = ctx.unrolling.inputLit(t, in, bit);
+                AigLit l = ctx_.unrolling.inputLit(t, in, bit);
                 uint32_t n = aigNode(l);
                 bool v = false;
-                if (n < ctx.nodeVar.size() && ctx.nodeVar[n] >= 0)
-                    v = ctx.solver.modelValue(ctx.nodeVar[n]) !=
+                if (n < ctx_.nodeVar.size() && ctx_.nodeVar[n] >= 0)
+                    v = ctx_.solver.modelValue(ctx_.nodeVar[n]) !=
                         aigSign(l);
                 if (v)
                     val |= 1ULL << bit;

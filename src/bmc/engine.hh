@@ -16,17 +16,6 @@
  *  - Undetermined: the per-query SAT budget was exhausted (the paper's
  *    timeout verdict, §VII-B3/B4).
  *
- * With EngineConfig::coiPruning the engine unrolls, per query, only the
- * sequential cone of influence of the property's support signals
- * (analysis::backwardCone): queries whose cones coincide share one
- * incremental instance (unrolling + solver + learned clauses), and logic
- * outside the cone contributes no AIG nodes and no SAT variables. The
- * restriction is sound — the fixpoint cone is closed under every
- * dependency the unroller follows — so Reachable/Unreachable verdicts
- * are identical to full-design unrolling; only budget-exhaustion
- * (Undetermined) verdicts are instance-relative, which is why the cone
- * fingerprint participates in exec::QueryCache keys (DESIGN.md §3e).
- *
  * With EngineConfig::staticPrune the engine additionally consults the
  * abstract-interpretation fixpoint (analysis::absInterpret, DESIGN.md
  * §3i) before touching the solver: a cover whose sequence — or any of
@@ -44,11 +33,9 @@
 
 #include <memory>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "analysis/absint.hh"
-#include "analysis/coi.hh"
 #include "bmc/unroll.hh"
 #include "prop/property.hh"
 #include "sat/drat.hh"
@@ -159,8 +146,8 @@ struct VerdictAudit
 /**
  * Reference into a proof context (EngineConfig::captureProof): enough to
  * replay the DRAT prefix that closes one Unreachable verdict offline.
- * Proof contexts are cumulative per solver instance, so a verdict is
- * identified by (instance ordinal, input-clause count at verdict time,
+ * An engine's proof context is cumulative over its one solver, so a
+ * verdict is identified by (input-clause count at verdict time,
  * proof-step count at verdict time, this query's assumption literals):
  * feeding the first @ref inputCount inputs and first @ref stepCount steps
  * of the context into a fresh sat::DratChecker and closing with
@@ -173,8 +160,6 @@ struct ProofRef
 {
     /** A proof context exists for this verdict. */
     bool valid = false;
-    /** Engine::proofContext() ordinal of the answering instance. */
-    uint32_t ctxOrdinal = 0;
     /** Input clauses recorded when the verdict was issued. */
     uint64_t inputCount = 0;
     /** Proof steps recorded when the verdict was issued. */
@@ -197,13 +182,10 @@ struct CoverResult
     ProofRef proof;
 
     /** @name Instance-size statistics (0 on cache hits)
-     * Size of the unrolled instance that answered this query, after the
-     * query ran: cells materialized (== the COI size under pruning, the
-     * whole design otherwise), AIG nodes, and SAT variables. Shared
-     * incremental instances make these cumulative per instance, not
-     * per query. */
+     * Size of the engine's unrolled instance after the query ran: AIG
+     * nodes and SAT variables. The instance is shared by every query on
+     * the engine, so these are cumulative, not per query. */
     /// @{
-    uint32_t coiCells = 0;
     uint64_t aigNodes = 0;
     uint64_t satVars = 0;
     /// @}
@@ -222,13 +204,6 @@ struct EngineConfig
     /** Replay every witness on the simulator (soundness cross-check). */
     bool validateWitnesses = true;
     /**
-     * Unroll only each query's sequential cone of influence. Verdicts
-     * match full unrolling exactly except at SAT-budget boundaries
-     * (Undetermined is instance-relative); both modes are individually
-     * deterministic and jobs-invariant.
-     */
-    bool coiPruning = false;
-    /**
      * Audit Reachable verdicts: decode the SAT witness into per-cycle
      * input stimulus, replay it through the rtlir simulator, and record
      * (not assert) a mismatch if the cover fails to fire or an assume is
@@ -238,8 +213,8 @@ struct EngineConfig
      */
     bool auditReplay = false;
     /**
-     * Audit Unreachable verdicts: attach a sat::DratChecker to each
-     * instance's solver (RUP-checking every learned clause as it is
+     * Audit Unreachable verdicts: attach a sat::DratChecker to the
+     * engine's solver (RUP-checking every learned clause as it is
      * derived) and close each unsat frame with
      * DratChecker::checkUnsat(assumptions). Verdicts that never reach
      * the solver (vacuous assumes, constant-false cover literals) are
@@ -270,8 +245,7 @@ struct EngineConfig
      * over-approximate all reachable-from-reset traces; only the FALSE
      * direction is consumed) and verdict-identical to solving. With
      * auditReplay/auditProof the solver runs anyway and disagreements
-     * are recorded as audit mismatches. Also narrows COI cones through
-     * statically fixed mux selects when coiPruning is on.
+     * are recorded as audit mismatches.
      */
     bool staticPrune = false;
     /**
@@ -281,7 +255,7 @@ struct EngineConfig
      */
     std::shared_ptr<const analysis::AbsFacts> staticFacts;
     /**
-     * Record each solver instance's clausal trace (sat::DratLogRecorder)
+     * Record the solver's clausal trace (sat::DratLogRecorder)
      * and stamp every solver-issued Unreachable verdict with a
      * CoverResult::proof prefix reference, so the verdict store can
      * persist re-checkable proofs. Independent of auditProof (the two
@@ -290,7 +264,7 @@ struct EngineConfig
      */
     bool captureProof = false;
     /**
-     * Optional shared query log; every instance's solver appends its
+     * Optional shared query log; every engine's solver appends its
      * addClause()/solve() stream to it (sat::SatQueryLog). Used by
      * bench_perf_sat to replay an entire synthesis run against the
      * frozen pre-arena solver. Not owned; nullptr (the default) is
@@ -311,7 +285,7 @@ struct EngineStats
     uint64_t staticPruned = 0;
     /** Of unreachable, verdicts discharged by a remembered failed-
      *  assumption core (no SAT search; the core clause already in the
-     *  instance's proof trace closes them). */
+     *  solver's proof trace closes them). */
     uint64_t assumptionCoreHits = 0;
     double totalSeconds = 0.0;
     /** @name Verdict-audit tallies (zero unless auditing is on) */
@@ -322,29 +296,25 @@ struct EngineStats
     /// @}
 };
 
-/** COI statistics (reported through src/report and BENCH_static_coi). */
+/**
+ * Size of an engine's unrolled instance. Named after the removed
+ * cone-of-influence mode only because exec::PoolStats::coi carries it,
+ * and the benchmark harness (rmpbench/src/oneshot.cc) reads that field;
+ * rename both with those lines.
+ */
 struct CoiStats
 {
-    /** Queries answered (matches EngineStats::queries). */
-    uint64_t queries = 0;
-    /** Sum over queries of the answering instance's cell count. */
-    uint64_t coneCells = 0;
-    /** Sum over queries of the full design's cell count. */
-    uint64_t designCells = 0;
-    /** Distinct unrolled instances (1 when pruning is off). */
-    uint64_t conesBuilt = 0;
-    /** AIG nodes across all live instances. */
+    /** AIG nodes of the unrolling. */
     uint64_t aigNodes = 0;
-    /** SAT variables across all live instances. */
+    /** SAT variables of the solver. */
     uint64_t satVars = 0;
 };
 
 /**
  * Incremental cover/assume evaluator over one design.
  *
- * Queries with the same cone (the whole design when pruning is off)
- * share an unrolled CNF and that solver's learned clauses; per-query
- * constraints enter as SAT assumptions only.
+ * Every query shares one full-design unrolled CNF and its solver's
+ * learned clauses; per-query constraints enter as SAT assumptions only.
  */
 class Engine
 {
@@ -378,28 +348,25 @@ class Engine
                        Witness *cex = nullptr);
 
     const EngineStats &stats() const { return stats_; }
-    /** Solver instances created so far (ProofRef::ctxOrdinal range). */
-    uint32_t numProofContexts() const
-    {
-        return static_cast<uint32_t>(ctxOrder_.size());
-    }
     /**
-     * The trace recorder of instance @p ordinal (captureProof only;
-     * nullptr for unknown ordinals or when capture is off). Cumulative:
-     * serialize once per instance, reference per verdict via ProofRef
-     * prefix counts.
+     * The solver's trace recorder (captureProof only; nullptr when
+     * capture is off). Cumulative: serialize once, reference per verdict
+     * via ProofRef prefix counts.
      */
-    const sat::DratLogRecorder *proofContext(uint32_t ordinal) const;
-    /** COI statistics (instance sizes; meaningful with pruning too off). */
+    const sat::DratLogRecorder *proofContext() const
+    {
+        return ctx_.recorder.get();
+    }
+    /** Instance size of the unrolling and its solver. */
     CoiStats coiStats() const;
-    /** Underlying solver statistics, summed across instances. */
-    sat::SatStats satStats() const;
+    /** Underlying solver statistics. */
+    const sat::SatStats &satStats() const { return ctx_.solver.stats(); }
     const Design &design() const { return d; }
     unsigned bound() const { return cfg.bound; }
     const EngineConfig &config() const { return cfg; }
 
   private:
-    /** One unrolled instance: full design, or one support cone. */
+    /** The unrolled instance and its solver state. */
     struct Ctx
     {
         Unrolling unrolling;
@@ -414,12 +381,8 @@ class Engine
         std::unique_ptr<sat::ProofFanout> fanout;
         /** AIG node -> SAT var (-1 = not yet encoded). */
         std::vector<int32_t> nodeVar;
-        /** Cells this instance materializes. */
-        uint32_t cells = 0;
-        /** Creation-order index (ProofRef::ctxOrdinal). */
-        uint32_t ordinal = 0;
         /**
-         * Failed-assumption cores this instance's solver has proven
+         * Failed-assumption cores the solver has proven
          * (sorted literal sets). A query whose assumption set contains
          * one is Unreachable without solving: the corresponding core
          * clause was emitted into the proof trace when first derived,
@@ -428,11 +391,9 @@ class Engine
          */
         std::vector<std::vector<sat::Lit>> failedCores;
 
-        Ctx(const Design &dd, std::vector<uint8_t> mask,
-            std::vector<int8_t> mux_sel, uint32_t n, bool audit_proof,
-            bool capture_proof, sat::SatQueryLog *qlog, uint32_t ord)
-            : unrolling(dd, std::move(mask), std::move(mux_sel)), cells(n),
-              ordinal(ord)
+        Ctx(const Design &dd, bool audit_proof, bool capture_proof,
+            sat::SatQueryLog *qlog)
+            : unrolling(dd)
         {
             if (qlog)
                 solver.attachQueryLog(qlog);
@@ -457,14 +418,10 @@ class Engine
                     const std::vector<prop::ExprRef> &assumes,
                     int fixed_frame);
 
-    /** Instance answering queries over @p seq / @p assumes. */
-    Ctx &ctxFor(const prop::ExprRef &seq,
-                const std::vector<prop::ExprRef> &assumes);
-
     /** Tseitin-encode @p lit's cone; returns the SAT literal. */
-    sat::Lit satLit(Ctx &ctx, AigLit lit);
+    sat::Lit satLit(AigLit lit);
 
-    Witness extractWitness(Ctx &ctx, const prop::ExprRef &seq,
+    Witness extractWitness(const prop::ExprRef &seq,
                            const std::vector<prop::ExprRef> &assumes,
                            VerdictAudit *audit);
 
@@ -483,17 +440,8 @@ class Engine
 
     const Design &d;
     EngineConfig cfg;
-    /** Fixed mux selects (staticPrune && coiPruning only; else empty). */
-    std::vector<int8_t> muxSel_;
-    /** The full-design instance (absent under COI pruning). */
-    std::unique_ptr<Ctx> full_;
-    /** Cone fingerprint -> instance (COI pruning only). */
-    std::unordered_map<uint64_t, std::unique_ptr<Ctx>> cones_;
-    /** Every instance in creation order (full_ first when present);
-     *  indexed by Ctx::ordinal. Non-owning. */
-    std::vector<Ctx *> ctxOrder_;
+    Ctx ctx_;
     EngineStats stats_;
-    CoiStats coi_;
     /** @name Compiled witness-replay state (compiledReplay only) */
     /// @{
     std::unique_ptr<sim::Tape> replayTape_;

@@ -7,18 +7,6 @@
 namespace rmp::bmc
 {
 
-Unrolling::Unrolling(const Design &design, std::vector<uint8_t> coi_mask,
-                     std::vector<int8_t> mux_sel)
-    : d(design), mask(std::move(coi_mask)), muxSel(std::move(mux_sel))
-{
-    rmp_assert(mask.empty() || mask.size() == d.numCells(),
-               "COI mask covers %zu of %zu cells", mask.size(),
-               d.numCells());
-    rmp_assert(muxSel.empty() || muxSel.size() == d.numCells(),
-               "mux-select facts cover %zu of %zu cells", muxSel.size(),
-               d.numCells());
-}
-
 void
 Unrolling::ensureFrames(unsigned t)
 {
@@ -44,8 +32,6 @@ const Word &
 Unrolling::sig(unsigned t, SigId id)
 {
     ensureFrames(t);
-    rmp_assert(!frames[t][id].empty(),
-               "signal %u is outside this unrolling's COI mask", id);
     return frames[t][id];
 }
 
@@ -130,8 +116,6 @@ Unrolling::buildFrame()
         fr[id] = std::move(word);
     }
     for (SigId r : d.registers()) {
-        if (!materializes(r))
-            continue;
         const Cell &c = d.cell(r);
         Word word(c.width);
         if (t == 0) {
@@ -139,18 +123,12 @@ Unrolling::buildFrame()
                 word[bit] = c.cval.bit(bit) ? kTrue : kFalse;
         } else {
             word = frames[t - 1][c.args[0]];
-            rmp_assert(word.size() == c.width,
-                       "COI mask is not backward-closed at register %s",
-                       c.name.c_str());
         }
         fr[r] = std::move(word);
     }
 
-    // Combinational cells in topological order (COI-masked cells are
-    // skipped: nothing inside the cone reads them, by closure).
+    // Combinational cells in topological order.
     for (SigId id : d.topoOrder()) {
-        if (!materializes(id))
-            continue;
         const Cell &c = d.cell(id);
         auto &A = fr[c.args[0] == kNoSig ? id : c.args[0]];
         Word out;
@@ -258,14 +236,6 @@ Unrolling::buildFrame()
               break;
           }
           case Op::Mux: {
-              // A statically fixed select short-circuits to the taken
-              // arm; the select and dead arm may be outside the COI mask
-              // (their frame words empty), so neither is read.
-              int8_t fixed = muxSel.empty() ? int8_t{-1} : muxSel[id];
-              if (fixed >= 0) {
-                  out = fr[c.args[fixed ? 1 : 2]];
-                  break;
-              }
               const Word &T = fr[c.args[1]];
               const Word &F = fr[c.args[2]];
               AigLit sel = A[0];

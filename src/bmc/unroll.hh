@@ -28,31 +28,13 @@ using Word = std::vector<AigLit>;
  *
  * frame(t) materializes frames 0..t. sig(t, id) returns the literals of
  * signal @p id during cycle t. inputVar(t, id, bit) exposes the AIG input
- * node index backing an Input cell bit, for witness extraction.
- *
- * An optional cone-of-influence mask restricts the unrolling: registers
- * and combinational cells outside the mask are never bit-blasted, so
- * their AIG nodes (and downstream SAT variables) are never created. The
- * mask must be backward-closed — every operand of a member cell is a
- * member (analysis::backwardCone's fixpoint guarantees this) — or frame
- * construction panics. Inputs are always materialized (each is one free
- * AIG node; keeping them uniform keeps witness extraction cone-agnostic).
- *
- * An optional mux-select vector (analysis::muxSelectFacts) marks Mux
- * cells whose select is a proven constant on every reachable cycle; such
- * a mux emits its taken arm's literals verbatim, reading neither the
- * select word nor the dead arm. The vector MUST be the same one the COI
- * mask was narrowed with (backwardCone's muxSel argument), or closure
- * breaks: the mask may omit exactly the words the fixed muxes skip.
+ * node index backing an Input cell bit, for witness extraction. Every
+ * cell of the design is bit-blasted in every frame.
  */
 class Unrolling
 {
   public:
-    /** @p coi_mask: per-cell membership (empty = unrestricted).
-     *  @p mux_sel: per-cell fixed mux select, -1/0/1 (empty = none). */
-    explicit Unrolling(const Design &design,
-                       std::vector<uint8_t> coi_mask = {},
-                       std::vector<int8_t> mux_sel = {});
+    explicit Unrolling(const Design &design) : d(design) {}
 
     const Design &design() const { return d; }
     Aig &aig() { return g; }
@@ -76,25 +58,10 @@ class Unrolling
     /** Equality of a signal with a constant, as one literal. */
     AigLit sigEqConst(unsigned t, SigId id, uint64_t value);
 
-    /** True when a COI mask restricts this unrolling. */
-    bool restricted() const { return !mask.empty(); }
-
-    /** True when cell @p id is materialized by this unrolling. */
-    bool
-    materializes(SigId id) const
-    {
-        return mask.empty() || mask[id] ||
-               d.cell(id).op == Op::Input;
-    }
-
   private:
     void buildFrame();
 
     const Design &d;
-    /** COI membership per cell; empty = all cells. */
-    std::vector<uint8_t> mask;
-    /** Fixed mux selects per cell (-1 = not fixed); empty = none. */
-    std::vector<int8_t> muxSel;
     Aig g;
     /** frames[t][sigId] = word of literals. */
     std::vector<std::vector<Word>> frames;

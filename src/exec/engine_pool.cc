@@ -4,7 +4,6 @@
 #include <atomic>
 #include <map>
 
-#include "analysis/coi.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "exec/admission.hh"
@@ -21,15 +20,10 @@ EnginePool::EnginePool(const Design &design,
     : d(design), engCfg(engine_cfg), designFp(designFingerprint(design))
 {
     // Compute the absint facts once here rather than once per lane: every
-    // lane engine shares one immutable AbsFacts (and the cone-fingerprint
-    // memo below narrows with the same mux-select vector the engines use).
-    if (engCfg.staticPrune) {
-        if (!engCfg.staticFacts)
-            engCfg.staticFacts = std::make_shared<const analysis::AbsFacts>(
-                analysis::absInterpret(d));
-        if (engCfg.coiPruning)
-            muxSel_ = analysis::muxSelectFacts(d, *engCfg.staticFacts);
-    }
+    // lane engine shares one immutable AbsFacts.
+    if (engCfg.staticPrune && !engCfg.staticFacts)
+        engCfg.staticFacts = std::make_shared<const analysis::AbsFacts>(
+            analysis::absInterpret(d));
     // Persistent store: read-through via the cache, proof capture on the
     // lane engines so Unreachable verdicts come with storable evidence.
     if (exec_cfg.store && exec_cfg.store->enabled()) {
@@ -97,8 +91,8 @@ EnginePool::runOnLane(unsigned lane, const Query &q, const QueryKey &key,
             // The blob address is unknown until the lane's proof context
             // is serialized; defer the record until flushStore().
             std::lock_guard<std::mutex> lock(storeMu_);
-            pendingProofs_.push_back(PendingProof{
-                lane, r.proof.ctxOrdinal, key, keyBytes, std::move(rec)});
+            pendingProofs_.push_back(
+                PendingProof{lane, key, keyBytes, std::move(rec)});
         } else {
             store_->put(key.lo, key.hi, keyBytes, rec);
         }
@@ -220,43 +214,13 @@ EnginePool::runTasks(std::vector<std::function<void()>> tasks)
     cvDone.wait(lock, [this] { return pending == 0; });
 }
 
-uint64_t
-EnginePool::coneFp(const Query &q)
-{
-    if (!engCfg.coiPruning)
-        return 0;
-    std::vector<SigId> roots;
-    prop::collectSigs(q.seq, &roots);
-    for (const auto &a : q.assumes)
-        prop::collectSigs(a, &roots);
-    std::sort(roots.begin(), roots.end());
-    roots.erase(std::unique(roots.begin(), roots.end()), roots.end());
-    // FNV-1a over the sorted support set keys the memo; the value is the
-    // cone fingerprint the engine's ctxFor() would compute for it.
-    uint64_t rh = 0xcbf29ce484222325ULL;
-    for (SigId r : roots) {
-        rh ^= static_cast<uint64_t>(r) + 1;
-        rh *= 0x100000001b3ULL;
-    }
-    auto it = coneFps.find(rh);
-    if (it != coneFps.end())
-        return it->second;
-    // Same mux-select narrowing as the lane engines' ctxFor(), so this
-    // fingerprint names the instance that will actually answer the query.
-    const std::vector<int8_t> *ms = muxSel_.empty() ? nullptr : &muxSel_;
-    analysis::Cone cone = analysis::backwardCone(d, roots, -1, ms);
-    coneFps.emplace(rh, cone.fingerprint);
-    return cone.fingerprint;
-}
-
 bmc::CoverResult
 EnginePool::eval(const Query &q)
 {
-    uint64_t cone_fp = coneFp(q);
-    QueryKey key = makeQueryKey(designFp, engCfg, q.seq, q.assumes,
-                                q.fixedFrame, cone_fp);
+    QueryKey key =
+        makeQueryKey(designFp, engCfg, q.seq, q.assumes, q.fixedFrame);
     std::string bytes = makeQueryKeyBytes(designFp, engCfg, q.seq, q.assumes,
-                                          q.fixedFrame, cone_fp);
+                                          q.fixedFrame);
     CachedResult hit;
     if (cache_.get(key, bytes, &hit))
         return expandResult(hit, d);
@@ -275,13 +239,11 @@ EnginePool::evalBatch(const std::vector<Query> &qs)
     std::vector<Unit> units;
     std::map<std::string, size_t> firstUnit;
     for (size_t i = 0; i < qs.size(); i++) {
-        uint64_t cone_fp = coneFp(qs[i]);
         QueryKey key = makeQueryKey(designFp, engCfg, qs[i].seq,
-                                    qs[i].assumes, qs[i].fixedFrame,
-                                    cone_fp);
+                                    qs[i].assumes, qs[i].fixedFrame);
         std::string bytes =
             makeQueryKeyBytes(designFp, engCfg, qs[i].seq, qs[i].assumes,
-                              qs[i].fixedFrame, cone_fp);
+                              qs[i].fixedFrame);
         CachedResult hit;
         if (cache_.get(key, bytes, &hit)) {
             results[i] = expandResult(hit, d);
@@ -378,17 +340,16 @@ EnginePool::flushStore()
         return;
     obs::Span span("store-flush", "exec");
     span.arg("records", pending.size());
-    // One blob per referenced (lane, instance): contexts are cumulative,
-    // so the serialization covers every pending record's prefix.
-    std::map<std::pair<unsigned, uint32_t>, Hash128> blobs;
+    // One blob per referenced lane: a lane's proof context is
+    // cumulative, so its serialization covers every pending record's
+    // prefix.
+    std::map<unsigned, Hash128> blobs;
     for (PendingProof &p : pending) {
-        auto ctxKey = std::make_pair(p.lane, p.ctxOrdinal);
-        auto it = blobs.find(ctxKey);
+        auto it = blobs.find(p.lane);
         if (it == blobs.end()) {
             const sat::DratLogRecorder *rc =
-                lanes_[p.lane].eng
-                    ? lanes_[p.lane].eng->proofContext(p.ctxOrdinal)
-                    : nullptr;
+                lanes_[p.lane].eng ? lanes_[p.lane].eng->proofContext()
+                                   : nullptr;
             if (!rc)
                 continue; // capture raced off (shouldn't happen); drop
             Hash128 addr;
@@ -396,7 +357,7 @@ EnginePool::flushStore()
                                      rc->inputs(), rc->log()),
                                  &addr))
                 continue;
-            it = blobs.emplace(ctxKey, addr).first;
+            it = blobs.emplace(p.lane, addr).first;
         }
         p.rec.proofBlob = it->second;
         store_->put(p.key.lo, p.key.hi, p.keyBytes, p.rec);
@@ -422,7 +383,7 @@ EnginePool::stats() const
         s.engine.auditReplayed += e.auditReplayed;
         s.engine.auditProofChecked += e.auditProofChecked;
         s.engine.auditMismatches += e.auditMismatches;
-        const sat::SatStats st = l.eng->satStats();
+        const sat::SatStats &st = l.eng->satStats();
         s.sat.conflicts += st.conflicts;
         s.sat.decisions += st.decisions;
         s.sat.propagations += st.propagations;
@@ -438,10 +399,6 @@ EnginePool::stats() const
         for (size_t i = 0; i < st.lbdHist.size(); i++)
             s.sat.lbdHist[i] += st.lbdHist[i];
         const bmc::CoiStats ci = l.eng->coiStats();
-        s.coi.queries += ci.queries;
-        s.coi.coneCells += ci.coneCells;
-        s.coi.designCells += ci.designCells;
-        s.coi.conesBuilt += ci.conesBuilt;
         s.coi.aigNodes += ci.aigNodes;
         s.coi.satVars += ci.satVars;
     }

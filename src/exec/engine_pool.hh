@@ -33,7 +33,6 @@
 #include <memory>
 #include <mutex>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "bmc/engine.hh"
@@ -83,7 +82,9 @@ struct PoolStats
     bmc::EngineStats engine;
     /** SAT solver stats merged across lanes. */
     sat::SatStats sat;
-    /** COI / instance-size stats merged across lanes. */
+    /** Instance sizes summed across lanes. Named `coi` only because the
+     *  benchmark harness reads it (rmpbench/src/oneshot.cc:68-69,162);
+     *  rename it with those lines. */
     bmc::CoiStats coi;
     /** Query-cache counters (hits never touch a lane). */
     CacheStats cache;
@@ -176,19 +177,10 @@ class EnginePool
     void runTasks(std::vector<std::function<void()>> tasks);
     void workerLoop();
 
-    /**
-     * Fingerprint of @p q's sequential support cone, for cache keying
-     * under COI pruning (0 when pruning is off). Memoized per support
-     * set; called only from the submitting thread, like all cache
-     * decisions, so the memo needs no lock.
-     */
-    uint64_t coneFp(const Query &q);
-
     /** One deferred store write awaiting its proof-context blob. */
     struct PendingProof
     {
         unsigned lane = 0;
-        uint32_t ctxOrdinal = 0;
         QueryKey key;
         std::string keyBytes;
         store::VerdictRecord rec;
@@ -206,11 +198,6 @@ class EnginePool
     /** Round-robin lane cursor; advanced once per cache-missed query. */
     uint64_t nextLane = 0;
     QueryCache cache_;
-    /** Support-set hash -> cone fingerprint (COI pruning only). */
-    std::unordered_map<uint64_t, uint64_t> coneFps;
-    /** Fixed mux selects (staticPrune && coiPruning only; else empty);
-     *  keeps coneFp() consistent with the lane engines' narrowing. */
-    std::vector<int8_t> muxSel_;
 
     /** @name Worker machinery (only active when jobs > 1) */
     /// @{

@@ -21,7 +21,7 @@ mix64(uint64_t x)
 uint64_t
 keyWord(uint64_t seed, uint64_t design_fp, const bmc::EngineConfig &cfg,
         const prop::ExprRef &seq, const std::vector<prop::ExprRef> &assumes,
-        int fixed_frame, uint64_t coi_fp)
+        int fixed_frame)
 {
     uint64_t h = mix64(seed ^ design_fp);
     h = mix64(h ^ cfg.bound);
@@ -29,11 +29,15 @@ keyWord(uint64_t seed, uint64_t design_fp, const bmc::EngineConfig &cfg,
     h = mix64(h ^ cfg.budget.maxPropagations);
     h = mix64(h ^ static_cast<uint64_t>(cfg.validateWitnesses));
     h = mix64(h ^ static_cast<uint64_t>(static_cast<int64_t>(fixed_frame)));
-    h = mix64(h ^ coi_fp);
-    // Static pruning changes which queries reach the solver (and, with
-    // COI narrowing, the instance shape), so pruned and unpruned runs
-    // must never share entries; the facts fingerprint covers the facts
-    // themselves (a refined fixpoint is a different pruning oracle).
+    // Retired slot: the removed cone-of-influence mode mixed its cone
+    // fingerprint here, 0 when it was off. Mixing in that constant 0
+    // (h ^ 0 == h) keeps every key exactly as earlier builds wrote it,
+    // so their verdict stores keep hitting.
+    h = mix64(h);
+    // Static pruning changes which queries reach the solver, so pruned
+    // and unpruned runs must never share entries; the facts fingerprint
+    // covers the facts themselves (a refined fixpoint is a different
+    // pruning oracle).
     h = mix64(h ^ static_cast<uint64_t>(cfg.staticPrune));
     h = mix64(h ^ (cfg.staticPrune && cfg.staticFacts
                        ? cfg.staticFacts->fingerprint
@@ -55,22 +59,20 @@ keyWord(uint64_t seed, uint64_t design_fp, const bmc::EngineConfig &cfg,
 QueryKey
 makeQueryKey(uint64_t design_fp, const bmc::EngineConfig &cfg,
              const prop::ExprRef &seq,
-             const std::vector<prop::ExprRef> &assumes, int fixed_frame,
-             uint64_t coi_fp)
+             const std::vector<prop::ExprRef> &assumes, int fixed_frame)
 {
     QueryKey k;
     k.lo = keyWord(0x517cc1b727220a95ULL, design_fp, cfg, seq, assumes,
-                   fixed_frame, coi_fp);
+                   fixed_frame);
     k.hi = keyWord(0x2545f4914f6cdd1dULL, design_fp, cfg, seq, assumes,
-                   fixed_frame, coi_fp);
+                   fixed_frame);
     return k;
 }
 
 std::string
 makeQueryKeyBytes(uint64_t design_fp, const bmc::EngineConfig &cfg,
                   const prop::ExprRef &seq,
-                  const std::vector<prop::ExprRef> &assumes, int fixed_frame,
-                  uint64_t coi_fp)
+                  const std::vector<prop::ExprRef> &assumes, int fixed_frame)
 {
     // Scalar fields in decimal, '|'-separated; expression serializations
     // use only "(),A-G" and digits, so '|' is an unambiguous delimiter.
@@ -86,9 +88,8 @@ makeQueryKeyBytes(uint64_t design_fp, const bmc::EngineConfig &cfg,
     s += std::to_string(static_cast<int>(cfg.validateWitnesses));
     s.push_back('|');
     s += std::to_string(fixed_frame);
-    s.push_back('|');
-    s += std::to_string(coi_fp);
-    s.push_back('|');
+    // Retired slot, always "0": see keyWord().
+    s += "|0|";
     s += std::to_string(static_cast<int>(cfg.staticPrune));
     s.push_back('|');
     s += std::to_string(cfg.staticPrune && cfg.staticFacts
@@ -163,7 +164,6 @@ toStoreRecord(const bmc::CoverResult &r)
     store::VerdictRecord rec;
     rec.outcome = static_cast<uint8_t>(r.outcome);
     rec.seconds = r.seconds;
-    rec.coiCells = r.coiCells;
     rec.aigNodes = r.aigNodes;
     rec.satVars = r.satVars;
     if (r.outcome == bmc::Outcome::Reachable) {

@@ -15,11 +15,7 @@
  * (budgets decide Undetermined outcomes), the structural hash of the
  * cover sequence DAG, the multiset of assume hashes (conjunction is
  * order-insensitive, so the per-assume hashes are sorted before mixing),
- * the fixed start frame, and — under COI pruning — the fingerprint of
- * the sequential cone the query is answered over (Undetermined verdicts
- * are instance-relative: the same budget exhausts differently on a
- * pruned instance than on the full design, so results from the two
- * instance shapes must never alias). A cached Reachable witness was
+ * and the fixed start frame. A cached Reachable witness was
  * simulator-replayed when first computed and stays valid because the
  * design is immutable.
  */
@@ -62,15 +58,12 @@ struct QueryKeyHash
  *
  * @p design_fp is the structural fingerprint of the design the engine
  * unrolls (designFingerprint()); @p fixed_frame is -1 for any-frame
- * covers, matching bmc::Engine::cover vs coverAt. @p coi_fp is the
- * fingerprint of the query's sequential support cone
- * (analysis::Cone::fingerprint) when EngineConfig::coiPruning routes the
- * query to a cone-restricted instance, 0 otherwise.
+ * covers, matching bmc::Engine::cover vs coverAt.
  */
 QueryKey makeQueryKey(uint64_t design_fp, const bmc::EngineConfig &cfg,
                       const prop::ExprRef &seq,
                       const std::vector<prop::ExprRef> &assumes,
-                      int fixed_frame, uint64_t coi_fp = 0);
+                      int fixed_frame);
 
 /**
  * Canonical byte serialization of the same semantic inputs makeQueryKey
@@ -87,7 +80,7 @@ std::string makeQueryKeyBytes(uint64_t design_fp,
                               const bmc::EngineConfig &cfg,
                               const prop::ExprRef &seq,
                               const std::vector<prop::ExprRef> &assumes,
-                              int fixed_frame, uint64_t coi_fp = 0);
+                              int fixed_frame);
 
 /** Structural fingerprint of a Design (cells, widths, connectivity). */
 uint64_t designFingerprint(const Design &d);

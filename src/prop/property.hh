@@ -98,8 +98,7 @@ void serializeExpr(const ExprRef &e, std::string *out);
 /**
  * Append the distinct signals referenced by @p e to @p out (shared
  * subtrees visited once; duplicates across calls are the caller's to
- * fold). This is the support set a COI-pruned BMC run grows its cone
- * from (analysis::backwardCone).
+ * fold): the query's support set, which compiled witness replay watches.
  */
 void collectSigs(const ExprRef &e, std::vector<SigId> *out);
 

@@ -157,31 +157,6 @@ renderStepStats(const std::vector<r2m::StepStats> &steps,
 }
 
 std::string
-renderCoiStats(const bmc::CoiStats &coi)
-{
-    AsciiTable t;
-    t.setHeader({"metric", "value"});
-    auto fmt1 = [](double v) {
-        char buf[32];
-        snprintf(buf, sizeof(buf), "%.1f", v);
-        return std::string(buf);
-    };
-    double avg_cone =
-        coi.queries ? double(coi.coneCells) / double(coi.queries) : 0.0;
-    double share = coi.designCells
-                       ? 100.0 * double(coi.coneCells) /
-                             double(coi.designCells)
-                       : 0.0;
-    t.addRow({"solver-evaluated queries", std::to_string(coi.queries)});
-    t.addRow({"avg cone cells / query", fmt1(avg_cone)});
-    t.addRow({"cone share of design (%)", fmt1(share)});
-    t.addRow({"distinct unrolled instances", std::to_string(coi.conesBuilt)});
-    t.addRow({"AIG nodes (all instances)", std::to_string(coi.aigNodes)});
-    t.addRow({"SAT variables (all instances)", std::to_string(coi.satVars)});
-    return t.str();
-}
-
-std::string
 renderInstrPaths(const designs::Harness &hx, const InstrPaths &paths)
 {
     const auto &info = hx.duv();

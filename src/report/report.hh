@@ -37,14 +37,6 @@ std::string renderStepStats(const std::vector<r2m::StepStats> &steps,
                             const slc::SynthLcStats *synthlc = nullptr);
 
 /**
- * Render cone-of-influence statistics for one engine-pool run: how much
- * of the design the average query actually unrolled, how many distinct
- * cone instances were built, and the AIG/SAT instance sizes
- * (bmc::Engine::coiStats, merged across lanes by exec::EnginePool).
- */
-std::string renderCoiStats(const bmc::CoiStats &coi);
-
-/**
  * Render the global obs::Registry as a text table: one row per
  * (metric, labels) pair, with count/sum/max/mean columns for histograms.
  * Empty string when the registry holds no samples.

@@ -57,7 +57,6 @@ engineConfigFor(const designs::Harness &hx, const SynthesisConfig &config)
     ec.bound = hx.duv().completenessBound;
     ec.budget = config.budget;
     ec.validateWitnesses = true;
-    ec.coiPruning = config.coiPruning;
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;
     ec.compiledReplay = true;

@@ -92,13 +92,6 @@ struct SynthesisConfig
      *  independently of jobs to keep verdicts jobs-invariant. */
     unsigned lanes = 0;
     /**
-     * Unroll only each query's sequential cone of influence
-     * (analysis::backwardCone) instead of the whole design.
-     * Reachable/Unreachable verdicts are unchanged; BENCH_static_coi
-     * measures the AIG/SAT-variable reduction.
-     */
-    bool coiPruning = false;
-    /**
      * Discharge covers statically via the abstract-interpretation
      * fixpoint sharpened by μFSM reachable-state enumeration
      * (analysis::staticFacts; bmc::EngineConfig::staticPrune). μPATHs

@@ -788,10 +788,9 @@ Solver::solveLoop(const std::vector<Lit> &assumptions,
     if (!okay)
         return SatResult::Unsat;
     // Trail saving: keep the propagation prefix of the decision levels
-    // whose assumptions this call repeats (the per-cone BMC pattern puts
-    // the shared assume literals first, so frame sweeps over one cone
-    // re-enter here with a warm prefix) instead of always cancelling to
-    // root.
+    // whose assumptions this call repeats (the BMC engine puts the
+    // shared assume literals first, so its sweeps of covers re-enter
+    // here with a warm prefix) instead of always cancelling to root.
     int keep = sharedAssumptionPrefix(assumptions);
     backtrack(keep);
     if (keep > 0)

@@ -284,7 +284,10 @@ uint64_t
 JsonValue::u64(const std::string &key, uint64_t def) const
 {
     const JsonValue *v = find(key);
-    if (!v || v->kind != Kind::Number || v->number < 0)
+    // 2^64: the first double a uint64_t cannot hold (converting it or
+    // anything larger is undefined behaviour).
+    if (!v || v->kind != Kind::Number || v->number < 0 ||
+        v->number >= 18446744073709551616.0)
         return def;
     return static_cast<uint64_t>(v->number);
 }

@@ -46,7 +46,7 @@ struct JsonValue
     std::string str(const std::string &key,
                     const std::string &def = "") const;
     /** Member @p key as an unsigned integer (truncated); @p def when
-     *  absent, not a number, or negative. */
+     *  absent, not a number, negative, or past the uint64_t range. */
     uint64_t u64(const std::string &key, uint64_t def = 0) const;
     /** Member @p key as a bool; @p def when absent or not a bool. */
     bool boolean_(const std::string &key, bool def = false) const;

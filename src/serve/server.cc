@@ -1,7 +1,9 @@
 #include "serve/server.hh"
 
+#include <algorithm>
 #include <cerrno>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <functional>
 #include <optional>
@@ -35,6 +37,55 @@ namespace
 /** Cap a request line; a client spraying an unbounded line is dropped
  *  rather than ballooning the connection buffer. */
 constexpr size_t kMaxLine = 1 << 20;
+
+/** 2^53: every integer up to here is exactly representable as a
+ *  double, so a JSON number in range converts without loss. */
+constexpr double kMaxExactInt = 9007199254740992.0;
+
+bool
+isIntegerIn(const JsonValue &v, double lo, double hi)
+{
+    return v.kind == JsonValue::Kind::Number && v.number >= lo &&
+           v.number <= hi && std::floor(v.number) == v.number;
+}
+
+/**
+ * Check a heavy request before it is queued. Returns "" when it is well
+ * formed, else the error to reply with, naming the offending key. Only
+ * synth/prove (@p synth) take opts; a key they do not know is an error
+ * rather than silently ignored.
+ */
+std::string
+checkJobRequest(const JsonValue &req, bool synth)
+{
+    if (const JsonValue *p = req.find("priority");
+        p && !isIntegerIn(*p, -kMaxExactInt, kMaxExactInt))
+        return "priority must be an integer in [-2^53, 2^53]";
+    const JsonValue *opts = req.find("opts");
+    if (!synth || !opts)
+        return "";
+    if (!opts->isObject())
+        return "opts must be an object";
+    for (const auto &[key, v] : opts->members) {
+        if (key == "budget") {
+            if (!isIntegerIn(v, 0, kMaxExactInt))
+                return "opts.budget must be an integer in [0, 2^53]";
+        } else if (key == "closure" || key == "counts" ||
+                   key == "static_prune" || key == "audit_replay" ||
+                   key == "audit_proof" || key == "render") {
+            if (v.kind != JsonValue::Kind::Bool)
+                return "opts." + key + " must be a boolean";
+        } else if (key == "instrs") {
+            if (!v.isArray() ||
+                !std::all_of(v.items.begin(), v.items.end(),
+                             [](const JsonValue &i) { return i.isString(); }))
+                return "opts.instrs must be an array of strings";
+        } else {
+            return "unknown option opts." + key;
+        }
+    }
+    return "";
+}
 
 bool
 setNonBlocking(int fd)
@@ -436,10 +487,16 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
             writeLine(conn, errorResponse(id, op, "draining"));
             return;
         }
+        std::string bad =
+            checkJobRequest(req, op == "synth" || op == "prove");
+        if (!bad.empty()) {
+            errors_.add();
+            writeLine(conn, errorResponse(id, op, bad));
+            return;
+        }
         Job job;
         job.priority = 0;
-        if (const JsonValue *p = req.find("priority");
-            p && p->kind == JsonValue::Kind::Number)
+        if (const JsonValue *p = req.find("priority"))
             job.priority = static_cast<int64_t>(p->number);
         job.reqId = id;
         job.op = op;
@@ -656,7 +713,6 @@ Server::makeSynthConfig(const JsonValue &opts, bool closure) const
     sc.budget.maxConflicts = opts.u64("budget", 20'000);
     sc.closureChecks = closure || opts.boolean_("closure");
     sc.revisitCounts = opts.boolean_("counts");
-    sc.coiPruning = opts.boolean_("coi");
     sc.staticPrune = opts.boolean_("static_prune", true);
     sc.auditReplay = opts.boolean_("audit_replay");
     sc.auditProof = opts.boolean_("audit_proof");
@@ -671,8 +727,7 @@ Server::synthKey(const std::string &duv, const r2m::SynthesisConfig &sc)
 {
     return duv + "|c" + std::to_string(sc.closureChecks) + "|b" +
            std::to_string(sc.budget.maxConflicts) + "|r" +
-           std::to_string(sc.revisitCounts) + "|i" +
-           std::to_string(sc.coiPruning) + "|s" +
+           std::to_string(sc.revisitCounts) + "|s" +
            std::to_string(sc.staticPrune) + "|ar" +
            std::to_string(sc.auditReplay) + "|ap" +
            std::to_string(sc.auditProof);
@@ -723,11 +778,8 @@ Server::runSynth(Worker &w, const Job &job, bool closure)
 
     std::vector<uhb::InstrId> ids;
     if (const JsonValue *instrs = opts.find("instrs");
-        instrs && instrs->isArray() && !instrs->items.empty()) {
+        instrs && !instrs->items.empty()) {
         for (const JsonValue &v : instrs->items) {
-            if (!v.isString())
-                return errorResponse(job.reqId, job.op,
-                                     "opts.instrs must be strings");
             bool found = false;
             for (size_t i = 0; i < hx.duv().instrs.size(); i++) {
                 if (hx.duv().instrs[i].name == v.string) {

@@ -26,7 +26,9 @@
  * internally through its engine pool, and the pools admit their
  * parallel batches through the process-global exec::AdmissionGate so N
  * concurrent synth jobs share the machine instead of oversubscribing
- * it N-fold.
+ * it N-fold. A heavy request is checked before it is queued: a
+ * non-integral or out-of-range priority, or a synth/prove option that
+ * is unknown or of the wrong type, gets an error reply naming the key.
  *
  * Warm state is a registry keyed by (duv, synthesis-config fingerprint):
  * the harnessed design plus its MuPathSynthesizer, whose engine pool —

@@ -75,6 +75,8 @@ struct VerdictRecord
     /** @name Solve-time statistics (0 for statically discharged verdicts) */
     /// @{
     double seconds = 0.0;
+    /** Retired: written as 0 and never read. Kept so the record layout
+     *  of kStoreVersion 1 stays readable by and from earlier builds. */
     uint32_t coiCells = 0;
     uint64_t aigNodes = 0;
     uint64_t satVars = 0;

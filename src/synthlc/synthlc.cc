@@ -81,7 +81,6 @@ engineConfigFor(const designs::Harness &hx, const ift::Instrumented &inst,
     ec.bound = config.bound ? config.bound : hx.duv().completenessBound;
     ec.budget = config.budget;
     ec.validateWitnesses = true;
-    ec.coiPruning = config.coiPruning;
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;
     ec.compiledReplay = true;

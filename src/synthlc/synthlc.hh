@@ -145,9 +145,6 @@ struct SynthLcConfig
     unsigned jobs = 0;
     /** Engine lanes (0 = exec::EnginePool::kDefaultLanes). */
     unsigned lanes = 0;
-    /** Unroll only each query's sequential cone of influence (see
-     *  r2m::SynthesisConfig::coiPruning). */
-    bool coiPruning = false;
     /**
      * Statically discharge covers refuted by the absint fixpoint over
      * the *instrumented* design (see r2m::SynthesisConfig::staticPrune).

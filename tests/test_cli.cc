@@ -315,7 +315,7 @@ TEST(Cli, KillDaemonMidBatchThenStoreVerifiesClean)
         "{\"id\":1,\"op\":\"prove\",\"duv\":\"tiny3\"}\n"
         "{\"id\":2,\"op\":\"synth\",\"duv\":\"tiny3-zs\"}\n"
         "{\"id\":3,\"op\":\"synth\",\"duv\":\"tiny3\","
-        "\"opts\":{\"coi\":true}}\n"
+        "\"opts\":{\"budget\":19999}}\n"
         "{\"id\":4,\"op\":\"prove\",\"duv\":\"tiny3-zs\"}\n";
     ASSERT_EQ(write(fd, batch, strlen(batch)),
               static_cast<ssize_t>(strlen(batch)));

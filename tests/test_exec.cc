@@ -298,3 +298,22 @@ TEST(Exec, KeyBytesCanonicalization)
     EXPECT_NE(makeQueryKeyBytes(fp, cfg, a1, {}, -1),
               makeQueryKeyBytes(fp, other, a1, {}, -1));
 }
+
+TEST(Exec, QueryKeyLayoutIsStable)
+{
+    // Verdict stores on disk are addressed by these exact bytes and
+    // digests, so stores written by one build keep hitting in the next
+    // only while both stay fixed. Any change to the key layout must show
+    // up here as a deliberate edit of these literals.
+    CounterDesign cd;
+    EngineConfig cfg = counterCfg();
+    uint64_t fp = designFingerprint(cd.d);
+    ExprRef seq = pEq(cd.cnt, 7);
+    std::vector<ExprRef> assumes{pNot(pEq(cd.cnt, 3))};
+    EXPECT_EQ(makeQueryKeyBytes(fp, cfg, seq, assumes, -1),
+              "8460344195918617339|10|0|0|1|-1|0|0|0|(B0,7,0)|"
+              "(D4294967295,0,0(B0,3,0))");
+    QueryKey k = makeQueryKey(fp, cfg, seq, assumes, -1);
+    EXPECT_EQ(k.lo, 0x375fdeab0426b5f9ULL);
+    EXPECT_EQ(k.hi, 0x06bb73fdeacd4735ULL);
+}

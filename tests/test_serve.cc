@@ -72,6 +72,8 @@ TEST(ServeJson, ParsesScalarsAndContainers)
     EXPECT_EQ(v.str("missing", "def"), "def");
     EXPECT_EQ(v.u64("c", 9), 9u);
     EXPECT_TRUE(v.boolean_("missing", true));
+    // Numbers past the uint64_t range fall back too, never converted.
+    EXPECT_EQ(mustParse(R"({"big":1e30})").u64("big", 9), 9u);
 }
 
 TEST(ServeJson, UnicodeEscapes)
@@ -256,6 +258,63 @@ TEST(Serve, InstructionSubsetAndErrors)
     EXPECT_FALSE(badInstr.boolean_("ok", true));
     EXPECT_NE(badInstr.str("error").find("unknown instruction"),
               std::string::npos);
+}
+
+/**
+ * Heavy requests are checked at dispatch: an unknown synth/prove option
+ * (the removed "coi" included), an ill-typed or out-of-range value, or a
+ * non-integral priority gets an error reply naming the key, counted in
+ * stats.errors, instead of running as if the key were absent. The
+ * daemon keeps serving afterwards.
+ */
+TEST(Serve, RejectsUnknownOrIllTypedOpts)
+{
+    TestServer ts(/*max_queue=*/64, /*use_store=*/false, /*workers=*/1);
+    Client c;
+    ts.connect(c);
+
+    struct Bad
+    {
+        const char *op;
+        const char *fields; ///< request members after "duv"
+        const char *key;    ///< the error must name it
+    };
+    const Bad bad[] = {
+        {"synth", R"("opts":{"coi":true})", "coi"},
+        {"synth", R"("opts":{"no_such_opt":true})", "no_such_opt"},
+        {"synth", R"("opts":{"budget":"x"})", "budget"},
+        {"synth", R"("opts":{"budget":-5})", "budget"},
+        {"synth", R"("opts":{"budget":1.5})", "budget"},
+        {"synth", R"("opts":{"budget":1e30})", "budget"},
+        {"synth", R"("opts":{"closure":1})", "closure"},
+        {"prove", R"("opts":{"render":"yes"})", "render"},
+        {"synth", R"("opts":{"instrs":"ADD"})", "instrs"},
+        {"synth", R"("opts":{"instrs":[1]})", "instrs"},
+        {"synth", R"("opts":[1])", "opts"},
+        {"synth", R"("priority":1e30)", "priority"},
+        {"lint", R"("priority":0.5)", "priority"},
+    };
+    uint64_t id = 0;
+    for (const Bad &b : bad) {
+        std::string q = "{\"id\":" + std::to_string(++id) + ",\"op\":\"" +
+                        b.op + "\",\"duv\":\"tiny3\"," + b.fields + "}";
+        JsonValue r = ts.req(c, q);
+        EXPECT_FALSE(r.boolean_("ok", true)) << q;
+        EXPECT_NE(r.str("error").find(b.key), std::string::npos)
+            << q << " -> " << r.str("error");
+    }
+
+    // Every accepted key, well typed, still runs.
+    JsonValue ok = ts.req(
+        c, R"({"id":100,"op":"synth","duv":"tiny3","priority":-3,)"
+           R"("opts":{"budget":20000,"closure":false,"counts":false,)"
+           R"("static_prune":true,"audit_replay":false,)"
+           R"("audit_proof":false,"render":false,"instrs":["ADD"]}})");
+    ASSERT_TRUE(ok.boolean_("ok")) << ok.str("error");
+
+    JsonValue st = ts.req(c, R"({"id":101,"op":"stats"})");
+    EXPECT_EQ(st.u64("errors"), id);
+    EXPECT_EQ(st.u64("completed"), 1u);
 }
 
 TEST(Serve, LintAndAnalyze)
@@ -621,8 +680,8 @@ TEST(Serve, DrainMidBatchLeavesStoreClean)
         raw.sendAll(
             R"({"id":1,"op":"prove","duv":"tiny3"})" "\n"
             R"({"id":2,"op":"synth","duv":"tiny3-zs"})" "\n"
-            R"({"id":3,"op":"synth","duv":"tiny3","opts":{"coi":true}})"
-            "\n"
+            R"({"id":3,"op":"synth","duv":"tiny3",)"
+            R"("opts":{"budget":19999}})" "\n"
             R"({"id":4,"op":"prove","duv":"tiny3-zs"})" "\n");
         // Let at least one job start before the drain hits.
         std::string line;

@@ -91,8 +91,6 @@ usage(std::FILE *f)
         "  --sim-threads N\n"
         "                 threads fanning compiled-simulation batches\n"
         "                 (default 4; results identical for every value)\n"
-        "  --coi          unroll only each query's sequential cone of\n"
-        "                 influence (verdicts unchanged; prints COI stats)\n"
         "  --static-prune / --no-static-prune\n"
         "                 discharge covers the absint fixpoint proves\n"
         "                 false without a solver call (default: on;\n"
@@ -209,7 +207,6 @@ struct CliOptions
     uint64_t budget = 20'000;
     bool closure = false;
     bool counts = false;
-    bool coi = false;
     bool staticPrune = true;
     bool checkReplay = false;
     bool checkProof = false;
@@ -255,8 +252,6 @@ parseOptions(int argc, char **argv, int first)
             o.closure = true;
         else if (a == "--counts")
             o.counts = true;
-        else if (a == "--coi")
-            o.coi = true;
         else if (a == "--static-prune")
             o.staticPrune = true;
         else if (a == "--no-static-prune")
@@ -344,7 +339,6 @@ synthConfig(const CliOptions &o)
     c.closureChecks = o.closure;
     c.revisitCounts = o.counts;
     c.jobs = o.jobs;
-    c.coiPruning = o.coi;
     c.staticPrune = o.staticPrune;
     c.auditReplay = o.checkReplay;
     c.auditProof = o.checkProof;
@@ -458,10 +452,6 @@ cmdSynth(const std::string &duv, const CliOptions &o)
     }
     std::printf("\n%s",
                 report::renderStepStats(synth.stepStats()).c_str());
-    if (o.coi)
-        std::printf("\nCone-of-influence statistics:\n%s",
-                    report::renderCoiStats(synth.pool().stats().coi)
-                        .c_str());
     snapshotPool(hx, synth.pool());
     if (interruptRequested()) {
         std::fprintf(stderr,
@@ -515,10 +505,6 @@ cmdUpaths(const std::string &duv, const std::string &instr,
     }
     std::printf("\n%s",
                 report::renderStepStats(synth.stepStats()).c_str());
-    if (o.coi)
-        std::printf("\nCone-of-influence statistics:\n%s",
-                    report::renderCoiStats(synth.pool().stats().coi)
-                        .c_str());
     snapshotPool(hx, synth.pool());
     return 0;
 }
@@ -906,8 +892,6 @@ cmdClient(const std::string &op, const std::string &duv,
         opts.put("budget", o.budget);
         if (o.counts)
             opts.putRaw("counts", "true");
-        if (o.coi)
-            opts.putRaw("coi", "true");
         if (!o.staticPrune)
             opts.putRaw("static_prune", "false");
         if (o.checkReplay)
