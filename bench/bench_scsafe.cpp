@@ -8,7 +8,8 @@
  * The transmitters flagged by SynthLC predict exactly which programs
  * violate SC-Safety: a DIV on a secret distinguishes the traces (its
  * latency is dividend-dependent), while an XOR on the same secret does
- * not.
+ * not. The exit code is 1 when any program's traces differ (or match)
+ * against its expected classification.
  */
 
 #include "bench/bench_util.hh"
@@ -22,27 +23,15 @@ using namespace rmp::designs;
 namespace
 {
 
-/**
- * Run @p prog with r1 seeded to @p secret via the symbolic-init input and
- * return the observation trace. The experiment runs on the compiled
- * watch-set engine; every trace is cross-checked against the interpreted
- * oracle (engineAgreement tallies any divergence).
- */
-int engineDisagreements = 0;
-
+/** Run @p prog with r1 seeded to @p secret via the symbolic-init input
+ *  and return the observation trace. */
 std::vector<uint64_t>
-observe(const Harness &hx, ProgramDriver &compiled, ProgramDriver &oracle,
+observe(const Harness &hx, ProgramDriver &drv,
         const std::vector<ProgInstr> &prog, uint64_t secret)
 {
     SigId init_r1 = hx.design().findByName("arf_init1");
     InputMap init{{init_r1, secret}};
-    std::vector<uint64_t> obs =
-        compiled.observationTrace(compiled.run(prog, 50, init));
-    std::vector<uint64_t> ref =
-        oracle.observationTrace(oracle.run(prog, 50, init));
-    if (obs != ref)
-        engineDisagreements++;
-    return obs;
+    return drv.observationTrace(drv.run(prog, 50, init));
 }
 
 } // namespace
@@ -76,14 +65,15 @@ main()
          true, 0, 5}, // taken iff the secret register equals r0 (= 0)
     };
 
-    ProgramDriver compiled(hx, /*compiled=*/true);
-    ProgramDriver oracle(hx);
+    ProgramDriver drv(hx);
     int violations = 0;
+    int mismatches = 0;
     for (const auto &c : cases) {
-        auto o1 = observe(hx, compiled, oracle, c.prog, c.s1);
-        auto o2 = observe(hx, compiled, oracle, c.prog, c.s2);
+        auto o1 = observe(hx, drv, c.prog, c.s1);
+        auto o2 = observe(hx, drv, c.prog, c.s2);
         bool differs = o1 != o2;
         violations += differs;
+        mismatches += differs != c.expect_violation;
         std::printf("  %-48s low-equiv traces %s  (expected %s)%s\n",
                     c.name, differs ? "DIFFER " : "match  ",
                     c.expect_violation ? "violation" : "safe",
@@ -95,13 +85,11 @@ main()
                   "/4 programs violate SC-Safety, matching the "
                   "transmitter classification (DIV and branches leak; "
                   "fixed-latency ALU ops and safe-address stores do not)");
-    if (engineDisagreements != 0) {
-        std::printf("  FAIL: compiled and interpreted observation traces "
-                    "disagree on %d run(s)\n",
-                    engineDisagreements);
+    if (mismatches != 0) {
+        std::printf("  FAIL: %d program(s) classified against their "
+                    "expected SC-Safety\n",
+                    mismatches);
         return 1;
     }
-    std::printf("  compiled == interpreted observation traces on all "
-                "runs\n");
     return 0;
 }

@@ -5,7 +5,6 @@
 #include "common/logging.hh"
 #include "obs/obs.hh"
 #include "obs/registry.hh"
-#include "sim/tape.hh"
 
 namespace rmp::analysis
 {
@@ -478,29 +477,6 @@ muxSelectFacts(const Design &d, const AbsFacts &facts)
             sel[id] = s.cval() ? 1 : 0;
     }
     return sel;
-}
-
-void
-seedFoldCache(const Design &d, const AbsFacts &facts, sim::FoldCache *fold)
-{
-    size_t n = d.numCells();
-    fold->kbDesign = &d;
-    fold->kbApplied = false;
-    fold->kbConst.assign(n, 0);
-    fold->kbVal.assign(n, 0);
-    fold->kbPossible.assign(n, 0);
-    for (SigId id = 0; id < n; id++) {
-        const Cell &c = d.cell(id);
-        uint64_t mask = BitVec::maskOf(c.width);
-        const AbsVal &v = facts.val[id];
-        fold->kbPossible[id] = v.possible(mask);
-        // Only comb cells may fold: register and input slots are written
-        // externally (latches / per-cycle input binds).
-        if (isCombOp(c.op) && c.op != Op::Const && v.known(mask)) {
-            fold->kbConst[id] = 1;
-            fold->kbVal[id] = v.cval();
-        }
-    }
 }
 
 } // namespace rmp::analysis

@@ -23,8 +23,8 @@
  * lattice and terminates; a generous iteration cap panics in case of a
  * transfer-function monotonicity bug rather than looping.
  *
- * Soundness of the consumers (static cover pruning, tape const-folding,
- * the absint lint rules) reduces to one claim, argued in DESIGN.md §3i:
+ * Soundness of the consumers (static cover pruning and the absint lint
+ * rules) reduces to one claim, argued in DESIGN.md §3i:
  * facts().val[s] contains every value cell s takes on any
  * reachable-from-reset trace. Anything proven impossible here is
  * impossible in every bounded unrolling and every simulation.
@@ -38,11 +38,6 @@
 #include <vector>
 
 #include "rtlir/design.hh"
-
-namespace rmp::sim
-{
-struct FoldCache;
-}
 
 namespace rmp::analysis
 {
@@ -151,18 +146,6 @@ void absSeal(const Design &d, AbsFacts &f);
  * logic never reaches the mux output.
  */
 std::vector<int8_t> muxSelectFacts(const Design &d, const AbsFacts &facts);
-
-/**
- * Seed @p fold (sim/tape.hh) with @p facts: comb cells proven constant
- * become foldable slots (kbConst/kbVal) and every cell gets its
- * possibly-one mask (kbPossible) for the tape's mask-narrowing alias
- * rules. Sound for the tape because BatchSim runs start from reset
- * with free inputs — precisely the trace set the facts over-approximate.
- * Registers and inputs are never marked foldable (their slots are
- * written externally).
- */
-void seedFoldCache(const Design &d, const AbsFacts &facts,
-                   sim::FoldCache *fold);
 
 } // namespace rmp::analysis
 

@@ -6,7 +6,6 @@
 #include "common/logging.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
-#include "sim/batch.hh"
 
 namespace rmp::bmc
 {
@@ -450,16 +449,17 @@ Engine::coiStats() const
                     static_cast<uint64_t>(ctx_.solver.numVars())};
 }
 
-namespace
+ReplayCheck
+replayWitness(const Design &design, const std::vector<InputMap> &inputs,
+              const prop::ExprRef &seq,
+              const std::vector<prop::ExprRef> &assumes, unsigned bound)
 {
-
-/** Evaluate the cover match and assume conditions on rc.trace. Shared by
- *  the interpreted and compiled replay paths so both apply the exact
- *  same acceptance criteria. */
-void
-evalReplay(ReplayCheck &rc, const prop::ExprRef &seq,
-           const std::vector<prop::ExprRef> &assumes, unsigned bound)
-{
+    ReplayCheck rc;
+    Simulator sim(design);
+    sim.reserveTrace(std::min<size_t>(bound, inputs.size()));
+    for (unsigned t = 0; t < bound && t < inputs.size(); t++)
+        sim.step(inputs[t]);
+    rc.trace = sim.trace();
     for (unsigned t = 0; t < bound && !rc.matched; t++) {
         if (prop::evalOnTrace(seq, rc.trace, t)) {
             rc.matched = true;
@@ -477,79 +477,7 @@ evalReplay(ReplayCheck &rc, const prop::ExprRef &seq,
         if (!rc.assumesHold)
             break;
     }
-}
-
-} // anonymous namespace
-
-ReplayCheck
-replayWitness(const Design &design, const std::vector<InputMap> &inputs,
-              const prop::ExprRef &seq,
-              const std::vector<prop::ExprRef> &assumes, unsigned bound)
-{
-    ReplayCheck rc;
-    Simulator sim(design);
-    sim.reserveTrace(std::min<size_t>(bound, inputs.size()));
-    for (unsigned t = 0; t < bound && t < inputs.size(); t++)
-        sim.step(inputs[t]);
-    rc.trace = sim.trace();
-    evalReplay(rc, seq, assumes, bound);
     return rc;
-}
-
-ReplayCheck
-replayWitnessCompiled(const sim::Tape &tape, const Design &design,
-                      const std::vector<InputMap> &inputs,
-                      const prop::ExprRef &seq,
-                      const std::vector<prop::ExprRef> &assumes,
-                      unsigned bound)
-{
-    ReplayCheck rc;
-    sim::BatchSim bs(tape, 1);
-    bs.reserveTrace(std::min<size_t>(bound, inputs.size()));
-    for (unsigned t = 0; t < bound && t < inputs.size(); t++) {
-        bs.clearInputs();
-        bs.stageInputs(0, inputs[t]);
-        bs.step();
-    }
-    rc.trace = bs.laneTrace(0, design.numCells());
-    evalReplay(rc, seq, assumes, bound);
-    return rc;
-}
-
-const sim::Tape &
-Engine::replayTapeFor(const prop::ExprRef &seq,
-                      const std::vector<prop::ExprRef> &assumes)
-{
-    // Known-bits facts constantize tape cells beyond syntactic folding;
-    // sound here because replays only ever run reachable-from-reset
-    // stimulus (the facts' trace set). Seed once per engine.
-    if (cfg.staticPrune && cfg.staticFacts && replayFold_.kbDesign != &d)
-        analysis::seedFoldCache(d, *cfg.staticFacts, &replayFold_);
-    if (replayWatched_.empty())
-        replayWatched_.assign(d.numCells(), 0);
-    bool grew = replayTape_ == nullptr;
-    auto add = [&](SigId s) {
-        if (s != kNoSig && !replayWatched_[s]) {
-            replayWatched_[s] = 1;
-            replayWatch_.push_back(s);
-            grew = true;
-        }
-    };
-    for (SigId s : cfg.witnessWatch)
-        add(s);
-    std::vector<SigId> support;
-    prop::collectSigs(seq, &support);
-    for (const auto &a : assumes)
-        prop::collectSigs(a, &support);
-    for (SigId s : support)
-        add(s);
-    // Recompile only when the watch closure grows; in steady state every
-    // query template's support is already covered and the tape is shared
-    // across all replays on this engine.
-    if (grew)
-        replayTape_ = std::make_unique<sim::Tape>(
-            sim::compileTape(d, replayWatch_, &replayFold_));
-    return *replayTape_;
 }
 
 Witness
@@ -560,7 +488,6 @@ Engine::extractWitness(const prop::ExprRef &seq,
     obs::Span span("witness-extract", "bmc");
     if (span.active()) {
         span.arg("bound", cfg.bound);
-        span.arg("validated", cfg.validateWitnesses);
         obs::Registry::global().counter("bmc.witnesses").add(1);
     }
     Witness w;
@@ -582,42 +509,33 @@ Engine::extractWitness(const prop::ExprRef &seq,
             w.inputs[t][in] = val;
         }
     }
-    if (cfg.validateWitnesses || cfg.auditReplay) {
-        // Independent soundness cross-check: replay the decoded stimulus
-        // and confirm the sequence matches and all assumes hold. The
-        // audit always replays on the interpreted simulator — it is the
-        // trusted oracle the compiled engine itself is checked against —
-        // while plain validation may ride the compiled tape when the
-        // caller opted in (sparse watch-set traces suffice for it).
-        ReplayCheck rc =
-            cfg.compiledReplay && !cfg.auditReplay
-                ? replayWitnessCompiled(replayTapeFor(seq, assumes), d,
-                                        w.inputs, seq, assumes, cfg.bound)
-                : replayWitness(d, w.inputs, seq, assumes, cfg.bound);
-        if (cfg.auditReplay && audit) {
-            // Audit mode records the mismatch for the caller to report
-            // and quarantine; hard-asserting here would take down a whole
-            // synthesis run on the first solver defect found.
-            audit->replayed = true;
-            if (!rc.ok()) {
-                audit->mismatch = true;
-                audit->detail =
-                    !rc.matched
-                        ? "witness replay: cover did not match on the "
-                          "simulator"
-                        : strfmt("witness replay: assume violated at "
-                                 "cycle %u",
-                                 rc.failCycle);
-            }
-        } else {
-            rmp_assert(rc.matched, "witness replay: cover did not match");
-            rmp_assert(rc.assumesHold,
-                       "witness replay: assume violated at cycle %u",
-                       rc.failCycle);
+    // Independent soundness cross-check: replay the decoded stimulus on
+    // the interpreted simulator and confirm the sequence matches and all
+    // assumes hold. The replayed trace is the witness's trace, the same
+    // one a query-cache or verdict-store hit re-derives from the inputs.
+    ReplayCheck rc = replayWitness(d, w.inputs, seq, assumes, cfg.bound);
+    if (cfg.auditReplay && audit) {
+        // Audit mode records the mismatch for the caller to report and
+        // quarantine; hard-asserting here would take down a whole
+        // synthesis run on the first solver defect found.
+        audit->replayed = true;
+        if (!rc.ok()) {
+            audit->mismatch = true;
+            audit->detail =
+                !rc.matched
+                    ? "witness replay: cover did not match on the "
+                      "simulator"
+                    : strfmt("witness replay: assume violated at cycle %u",
+                             rc.failCycle);
         }
-        w.matchFrame = rc.matchFrame;
-        w.trace = std::move(rc.trace);
+    } else {
+        rmp_assert(rc.matched, "witness replay: cover did not match");
+        rmp_assert(rc.assumesHold,
+                   "witness replay: assume violated at cycle %u",
+                   rc.failCycle);
     }
+    w.matchFrame = rc.matchFrame;
+    w.trace = std::move(rc.trace);
     return w;
 }
 

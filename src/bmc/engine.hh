@@ -40,9 +40,7 @@
 #include "prop/property.hh"
 #include "sat/drat.hh"
 #include "sat/solver.hh"
-#include "sim/batch.hh"
 #include "sim/simulator.hh"
-#include "sim/tape.hh"
 
 namespace rmp::bmc
 {
@@ -74,28 +72,16 @@ struct ReplayCheck
  * report whether @p seq fires within [0, bound) and every assume in
  * @p assumes holds at each cycle it constrains. This is the witness
  * oracle: it shares no code with the unroller/solver path that produced
- * the witness, which is what makes the cross-check meaningful. Also used
- * directly by the seeded-defect audit tests.
+ * the witness, which is what makes the cross-check meaningful. It is the
+ * engine's only witness check (plain validation and the verdict audit
+ * alike), and its full trace is the one a query-cache or verdict-store
+ * hit re-derives. Also used directly by the seeded-defect audit tests.
  */
 ReplayCheck replayWitness(const Design &design,
                           const std::vector<InputMap> &inputs,
                           const prop::ExprRef &seq,
                           const std::vector<prop::ExprRef> &assumes,
                           unsigned bound);
-
-/**
- * Compiled-engine counterpart of replayWitness(): replays @p inputs on a
- * single-lane sim::BatchSim over @p tape and evaluates the same match /
- * assume conditions. @p tape must watch every signal the sequence and
- * assumes read (Engine maintains such a tape under
- * EngineConfig::compiledReplay). The returned trace is sparse: only
- * watched signals carry values. Never used by the verdict audit, which
- * stays on the interpreted oracle (DESIGN.md §3g/§3h).
- */
-ReplayCheck replayWitnessCompiled(
-    const sim::Tape &tape, const Design &design,
-    const std::vector<InputMap> &inputs, const prop::ExprRef &seq,
-    const std::vector<prop::ExprRef> &assumes, unsigned bound);
 
 /** Kleene truth value of a property under time-invariant facts. */
 enum class StaticTern : int8_t { False = 0, True = 1, Unknown = 2 };
@@ -201,15 +187,13 @@ struct EngineConfig
     unsigned bound = 16;
     /** Per-query SAT budget; exhaustion yields Undetermined. */
     sat::SatBudget budget{};
-    /** Replay every witness on the simulator (soundness cross-check). */
-    bool validateWitnesses = true;
     /**
-     * Audit Reachable verdicts: decode the SAT witness into per-cycle
-     * input stimulus, replay it through the rtlir simulator, and record
-     * (not assert) a mismatch if the cover fails to fire or an assume is
-     * violated. Unlike validateWitnesses — which hard-asserts — audit
-     * mismatches surface through CoverResult::audit so callers can
-     * report them and quarantine the result (DESIGN.md §3g).
+     * Audit Reachable verdicts: record (not assert) a mismatch if the
+     * replayed witness fails to fire the cover or violates an assume.
+     * Every witness is replayed on the rtlir simulator either way; off,
+     * a mismatch hard-asserts, while audit mismatches surface through
+     * CoverResult::audit so callers can report them and quarantine the
+     * result (DESIGN.md §3g).
      */
     bool auditReplay = false;
     /**
@@ -222,22 +206,6 @@ struct EngineConfig
      * base — they are counted as neither checked nor mismatched.
      */
     bool auditProof = false;
-    /**
-     * Validate witnesses on the compiled op-tape engine instead of the
-     * interpreted simulator. Witness traces then become sparse watch-set
-     * traces covering witnessWatch plus the query's support signals —
-     * callers that read other signals from witness traces must leave
-     * this off (the default). Ignored whenever auditReplay is set: the
-     * audit's whole point is the independent interpreted oracle, so it
-     * never rides the engine it is meant to check.
-     */
-    bool compiledReplay = false;
-    /**
-     * Signals witness traces must expose under compiledReplay beyond
-     * the query's own support (e.g. the harness PL trackers μPATH
-     * construction reads). Deduplicated; order irrelevant.
-     */
-    std::vector<SigId> witnessWatch;
     /**
      * Discharge covers statically: a query whose sequence or assumes
      * are constant-false under the absint fixpoint returns Unreachable
@@ -425,15 +393,6 @@ class Engine
                            const std::vector<prop::ExprRef> &assumes,
                            VerdictAudit *audit);
 
-    /**
-     * The replay tape for @p seq / @p assumes (compiledReplay only):
-     * lazily compiled against witnessWatch plus every support signal
-     * seen so far, recompiled only when a query's support grows the
-     * watch closure.
-     */
-    const sim::Tape &replayTapeFor(const prop::ExprRef &seq,
-                                   const std::vector<prop::ExprRef> &assumes);
-
     /** True iff staticPrune proves this query Unreachable. */
     bool staticallyFalse(const prop::ExprRef &seq,
                          const std::vector<prop::ExprRef> &assumes) const;
@@ -442,14 +401,6 @@ class Engine
     EngineConfig cfg;
     Ctx ctx_;
     EngineStats stats_;
-    /** @name Compiled witness-replay state (compiledReplay only) */
-    /// @{
-    std::unique_ptr<sim::Tape> replayTape_;
-    std::vector<SigId> replayWatch_;
-    std::vector<uint8_t> replayWatched_; ///< bitmap over SigIds
-    /** Memoized constant folding across watch-closure recompiles. */
-    sim::FoldCache replayFold_;
-    /// @}
 };
 
 } // namespace rmp::bmc

@@ -1,41 +1,9 @@
 #include "designs/driver.hh"
 
 #include "common/logging.hh"
-#include "sim/batch.hh"
 
 namespace rmp::designs
 {
-
-namespace
-{
-
-/** The compiled engine's watch set: everything run()'s own loop and the
- *  trace consumers (arfValue, observationTrace) read. fetchReady comes
- *  first so the driver can poll back-pressure from the recorded frame
- *  (it may be a register, whose raw slot latches ahead of the frame). */
-std::vector<SigId>
-observationWatch(const Harness &hx)
-{
-    std::vector<SigId> w;
-    const uhb::DuvInfo &info = hx.duv();
-    if (info.fetchReady != kNoSig)
-        w.push_back(info.fetchReady);
-    for (uhb::PlId p = 0; p < hx.numPls(); p++)
-        w.push_back(hx.plSig(p).occupied);
-    for (SigId r : info.arfRegs)
-        w.push_back(r);
-    return w;
-}
-
-} // anonymous namespace
-
-ProgramDriver::ProgramDriver(const Harness &harness, bool compiled)
-    : hx(harness)
-{
-    if (compiled)
-        tape_ = std::make_unique<sim::Tape>(
-            sim::compileTape(hx.design(), observationWatch(hx)));
-}
 
 SimTrace
 ProgramDriver::run(const std::vector<ProgInstr> &prog, unsigned total_cycles,
@@ -47,58 +15,25 @@ ProgramDriver::run(const std::vector<ProgInstr> &prog, unsigned total_cycles,
     size_t pos = 0;
     unsigned wait = prog.empty() ? 0 : prog[0].delayBefore;
 
-    if (!tape_) {
-        Simulator sim(hx.design());
-        sim.reserveTrace(total_cycles);
-        for (unsigned t = 0; t < total_cycles; t++) {
-            InputMap in;
-            if (t == 0)
-                in = init;
-            bool offering = pos < prog.size() && wait == 0;
-            if (offering) {
-                in[info.fetchValid] = 1;
-                in[info.ifr] = prog[pos].word;
-                in[mark_iuv] = prog[pos].markIuv;
-                in[mark_txm] = prog[pos].markTxm;
-            }
-            sim.step(in);
-            if (wait > 0) {
-                wait--;
-            } else if (offering) {
-                bool ready = info.fetchReady == kNoSig ||
-                             sim.value(info.fetchReady);
-                if (ready) {
-                    pos++;
-                    if (pos < prog.size())
-                        wait = prog[pos].delayBefore;
-                }
-            }
-        }
-        rmp_assert(pos == prog.size(),
-                   "program did not fully issue in %u cycles (%zu/%zu)",
-                   total_cycles, pos, prog.size());
-        return sim.trace();
-    }
-
-    sim::BatchSim bs(*tape_, 1);
-    bs.reserveTrace(total_cycles);
+    Simulator sim(hx.design());
+    sim.reserveTrace(total_cycles);
     for (unsigned t = 0; t < total_cycles; t++) {
-        bs.clearInputs();
+        InputMap in;
         if (t == 0)
-            bs.stageInputs(0, init);
+            in = init;
         bool offering = pos < prog.size() && wait == 0;
         if (offering) {
-            bs.stageInput(0, info.fetchValid, 1);
-            bs.stageInput(0, info.ifr, prog[pos].word);
-            bs.stageInput(0, mark_iuv, prog[pos].markIuv);
-            bs.stageInput(0, mark_txm, prog[pos].markTxm);
+            in[info.fetchValid] = 1;
+            in[info.ifr] = prog[pos].word;
+            in[mark_iuv] = prog[pos].markIuv;
+            in[mark_txm] = prog[pos].markTxm;
         }
-        bs.step();
+        sim.step(in);
         if (wait > 0) {
             wait--;
         } else if (offering) {
-            bool ready = info.fetchReady == kNoSig ||
-                         bs.watched(t, 0, 0) != 0;
+            bool ready =
+                info.fetchReady == kNoSig || sim.value(info.fetchReady);
             if (ready) {
                 pos++;
                 if (pos < prog.size())
@@ -109,7 +44,7 @@ ProgramDriver::run(const std::vector<ProgInstr> &prog, unsigned total_cycles,
     rmp_assert(pos == prog.size(),
                "program did not fully issue in %u cycles (%zu/%zu)",
                total_cycles, pos, prog.size());
-    return bs.laneTrace(0, hx.design().numCells());
+    return sim.trace();
 }
 
 uint64_t

@@ -1,27 +1,18 @@
 /**
  * @file
  * Program driver: runs concrete instruction sequences on a harnessed DUV
- * through the simulator. Used by functional tests, examples, and the
- * SC-Safe observation-trace experiment (Def. V.1).
- *
- * Two engines are available. The interpreted engine (default) records a
- * full trace of every signal — the reference oracle. The compiled engine
- * steps an op tape (sim::BatchSim) and records only the observation
- * watch set — fetchReady, per-PL occupancy, and the architectural
- * register file — returning a sparse trace that arfValue() and
- * observationTrace() read identically.
+ * through the interpreted simulator, recording a full trace of every
+ * signal. Used by functional tests, examples, and the SC-Safe
+ * observation-trace experiment (Def. V.1).
  */
 
 #ifndef DESIGNS_DRIVER_HH
 #define DESIGNS_DRIVER_HH
 
-#include <memory>
 #include <vector>
 
 #include "designs/harness.hh"
-#include "sim/batch.hh"
 #include "sim/simulator.hh"
-#include "sim/tape.hh"
 
 namespace rmp::designs
 {
@@ -43,15 +34,13 @@ struct ProgInstr
 class ProgramDriver
 {
   public:
-    /** @p compiled selects the op-tape engine (watch-set traces). */
-    explicit ProgramDriver(const Harness &harness, bool compiled = false);
+    explicit ProgramDriver(const Harness &harness) : hx(harness) {}
 
     /**
      * Run @p prog, then keep simulating idle cycles until @p total_cycles
      * have elapsed. @p init is merged into the first cycle's inputs
      * (symbolic architectural init, e.g. a secret register seed).
-     * Returns the recorded trace: every signal on the interpreted
-     * engine, the observation watch set on the compiled engine.
+     * Returns the recorded trace of every signal.
      */
     SimTrace run(const std::vector<ProgInstr> &prog, unsigned total_cycles,
                  const InputMap &init = {});
@@ -70,8 +59,6 @@ class ProgramDriver
 
   private:
     const Harness &hx;
-    /** Observation-watch tape (compiled engine only, built once). */
-    std::unique_ptr<sim::Tape> tape_;
 };
 
 } // namespace rmp::designs

@@ -27,7 +27,11 @@ keyWord(uint64_t seed, uint64_t design_fp, const bmc::EngineConfig &cfg,
     h = mix64(h ^ cfg.bound);
     h = mix64(h ^ cfg.budget.maxConflicts);
     h = mix64(h ^ cfg.budget.maxPropagations);
-    h = mix64(h ^ static_cast<uint64_t>(cfg.validateWitnesses));
+    // Retired slot: the removed EngineConfig::validateWitnesses flag,
+    // which every caller set (every witness is replayed now). Mixing in
+    // that constant 1 keeps every key exactly as earlier builds wrote
+    // it, so their verdict stores keep hitting.
+    h = mix64(h ^ 1);
     h = mix64(h ^ static_cast<uint64_t>(static_cast<int64_t>(fixed_frame)));
     // Retired slot: the removed cone-of-influence mode mixed its cone
     // fingerprint here, 0 when it was off. Mixing in that constant 0
@@ -84,9 +88,8 @@ makeQueryKeyBytes(uint64_t design_fp, const bmc::EngineConfig &cfg,
     s += std::to_string(cfg.budget.maxConflicts);
     s.push_back('|');
     s += std::to_string(cfg.budget.maxPropagations);
-    s.push_back('|');
-    s += std::to_string(static_cast<int>(cfg.validateWitnesses));
-    s.push_back('|');
+    // Retired slot, always "1": see keyWord().
+    s += "|1|";
     s += std::to_string(fixed_frame);
     // Retired slot, always "0": see keyWord().
     s += "|0|";

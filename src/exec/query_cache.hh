@@ -107,7 +107,8 @@ struct CacheStats
  * cells x bound x 8 bytes — megabytes on the core DUV — while the inputs
  * are a few KB). expandResult() re-derives the identical trace by
  * deterministic simulator replay, which is exactly how the engine
- * produced the original trace during witness validation.
+ * produced the original trace during witness validation
+ * (VerdictStoreIntegration.WitnessTraceSameFromSolverCacheAndStore).
  */
 struct CachedResult
 {

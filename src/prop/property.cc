@@ -217,23 +217,6 @@ serializeExpr(const ExprRef &e, std::string *out)
     *out += serializeRec(e.get(), memo);
 }
 
-void
-collectSigs(const ExprRef &e, std::vector<SigId> *out)
-{
-    std::vector<const Expr *> stack{e.get()};
-    std::unordered_map<const Expr *, bool> seen;
-    while (!stack.empty()) {
-        const Expr *n = stack.back();
-        stack.pop_back();
-        if (!n || !seen.emplace(n, true).second)
-            continue;
-        if (n->sig != kNoSig)
-            out->push_back(n->sig);
-        stack.push_back(n->a.get());
-        stack.push_back(n->b.get());
-    }
-}
-
 bmc::AigLit
 compile(const ExprRef &e, bmc::Unrolling &u, unsigned start, unsigned bound)
 {

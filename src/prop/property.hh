@@ -96,13 +96,6 @@ uint64_t exprHash(const ExprRef &e, uint64_t seed = 0);
 void serializeExpr(const ExprRef &e, std::string *out);
 
 /**
- * Append the distinct signals referenced by @p e to @p out (shared
- * subtrees visited once; duplicates across calls are the caller's to
- * fold): the query's support set, which compiled witness replay watches.
- */
-void collectSigs(const ExprRef &e, std::vector<SigId> *out);
-
-/**
  * Compile @p e as observed starting at frame @p start.
  * Frames beyond the unrolling bound make the expression FALSE (a bounded
  * semantics; the engine accounts for this when deciding outcomes).

@@ -47,19 +47,15 @@ const char *kStepNames[kNumSteps] = {
 };
 
 /** Named-field engine configuration (positional init breaks silently as
- *  EngineConfig grows). Witness validation rides the compiled tape
- *  engine: the synthesizer only reads the harness PL trackers (and the
- *  queries' own supports, added automatically) from witness traces. */
+ *  EngineConfig grows). */
 bmc::EngineConfig
 engineConfigFor(const designs::Harness &hx, const SynthesisConfig &config)
 {
     bmc::EngineConfig ec;
     ec.bound = hx.duv().completenessBound;
     ec.budget = config.budget;
-    ec.validateWitnesses = true;
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;
-    ec.compiledReplay = true;
     ec.queryLog = config.queryLog;
     if (config.staticPrune) {
         ec.staticPrune = true;
@@ -73,14 +69,6 @@ engineConfigFor(const designs::Harness &hx, const SynthesisConfig &config)
         ec.staticFacts = std::make_shared<const analysis::AbsFacts>(
             analysis::staticFacts(hx.design(), ctrl));
     }
-    ec.witnessWatch.push_back(hx.iuvGone);
-    for (uhb::PlId p = 0; p < hx.numPls(); p++) {
-        const designs::PlSignals &ps = hx.plSig(p);
-        ec.witnessWatch.push_back(ps.occupied);
-        ec.witnessWatch.push_back(ps.iuvAt);
-        ec.witnessWatch.push_back(ps.iuvVisited);
-        ec.witnessWatch.push_back(ps.visitCount);
-    }
     return ec;
 }
 
@@ -90,7 +78,7 @@ MuPathSynthesizer::MuPathSynthesizer(const designs::Harness &harness,
                                      const SynthesisConfig &config)
     : hx(harness), cfg(config),
       pool_(harness.design(), engineConfigFor(harness, config),
-            exec::ExecConfig{config.jobs, config.lanes, config.store}),
+            exec::ExecConfig{.jobs = config.jobs, .store = config.store}),
       base(harness.baseAssumes())
 {
     stats_.resize(kNumSteps);
@@ -191,14 +179,6 @@ MuPathSynthesizer::facts(InstrId iuv)
     return factsCache.emplace(iuv, std::move(f)).first->second;
 }
 
-bool
-MuPathSynthesizer::isReach(const CoverResult &r) const
-{
-    if (r.outcome == Outcome::Undetermined)
-        return cfg.undeterminedAsReachable;
-    return r.outcome == Outcome::Reachable;
-}
-
 const std::vector<PlId> &
 MuPathSynthesizer::duvPls()
 {
@@ -210,7 +190,7 @@ MuPathSynthesizer::duvPls()
         qs.push_back(mkQuery(pBit(hx.plSig(p).occupied), {}));
     std::vector<CoverResult> rs = queryBatch(kDuvPl, std::move(qs));
     for (PlId p = 0; p < hx.numPls(); p++)
-        if (isReach(rs[p]))
+        if (rs[p].reachable())
             duvPls_.push_back(p);
     duvPlsDone = true;
     return duvPls_;
@@ -238,7 +218,7 @@ MuPathSynthesizer::iuvPls(InstrId iuv)
     std::vector<CoverResult> rs = queryBatch(kIuvPl, std::move(qs));
     std::vector<PlId> out;
     for (auto [p, qi] : slots)
-        if (qi < 0 || isReach(rs[qi]))
+        if (qi < 0 || rs[qi].reachable())
             out.push_back(p);
     return out;
 }
@@ -623,7 +603,7 @@ MuPathSynthesizer::synthesize(InstrId iuv)
             std::vector<CoverResult> rs =
                 queryBatch(kRevisitCount, std::move(qs));
             for (auto [p, k, qi] : probes)
-                if (qi < 0 || isReach(rs[qi]))
+                if (qi < 0 || rs[qi].reachable())
                     path.revisitCounts[p].push_back(k);
         }
 

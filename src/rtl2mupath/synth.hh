@@ -39,7 +39,9 @@ namespace rmp::r2m
 /** Synthesis configuration. */
 struct SynthesisConfig
 {
-    /** Per-query SAT budget (0 = unlimited). */
+    /** Per-query SAT budget (0 = unlimited). A cover that exhausts it
+     *  is Undetermined and counts as unreachable, the paper's reading
+     *  of a timeout (§VII-B3/B4). */
     sat::SatBudget budget{};
     /**
      * Seed the synthesis with randomized-simulation exploration: facts
@@ -66,11 +68,6 @@ struct SynthesisConfig
     /** Abort candidate-set enumeration beyond this many sets. */
     size_t maxCandidateSets = 4096;
     /**
-     * Treat undetermined verdicts as reachable (true) or unreachable
-     * (false, the paper's default — §VII-B3/B4).
-     */
-    bool undeterminedAsReachable = false;
-    /**
      * Discover Reachable PL Sets and decisions with the paper's §V-B3/B4
      * procedure (dominates/exclusive pruning of the power set followed by
      * per-candidate covers) instead of the default witness-driven all-SAT
@@ -88,9 +85,6 @@ struct SynthesisConfig
      * (DESIGN.md §"Parallel evaluation").
      */
     unsigned jobs = 0;
-    /** Engine lanes (0 = exec::EnginePool::kDefaultLanes). Fixed
-     *  independently of jobs to keep verdicts jobs-invariant. */
-    unsigned lanes = 0;
     /**
      * Discharge covers statically via the abstract-interpretation
      * fixpoint sharpened by μFSM reachable-state enumeration
@@ -210,9 +204,6 @@ class MuPathSynthesizer
      */
     std::vector<bmc::CoverResult> queryBatch(size_t step,
                                              std::vector<exec::Query> qs);
-    /** Reachability decision honoring the undetermined policy. */
-    bool isReach(const bmc::CoverResult &r) const;
-
     prop::ExprRef exprVisitedExactly(
         const std::vector<uhb::PlId> &iuv_pls,
         const std::vector<uhb::PlId> &set) const;

@@ -717,7 +717,6 @@ Server::makeSynthConfig(const JsonValue &opts, bool closure) const
     sc.auditReplay = opts.boolean_("audit_replay");
     sc.auditProof = opts.boolean_("audit_proof");
     sc.jobs = cfg_.jobs;
-    sc.lanes = cfg_.lanes;
     sc.store = store_ && store_->enabled() ? store_.get() : nullptr;
     return sc;
 }

@@ -93,8 +93,6 @@ struct ServeConfig
     std::string storeRoot;
     /** Worker threads per engine pool (0 = hardware_concurrency). */
     unsigned jobs = 0;
-    /** Engine lanes (0 = pool default). */
-    unsigned lanes = 0;
     /** Install SIGINT/SIGTERM handlers (off for in-process tests). */
     bool handleSignals = true;
 };

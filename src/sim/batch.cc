@@ -128,15 +128,4 @@ BatchSim::step()
     cycles_++;
 }
 
-SimTrace
-BatchSim::laneTrace(unsigned lane, size_t num_cells) const
-{
-    SimTrace tr;
-    tr.frames.assign(cycles_, std::vector<uint64_t>(num_cells, 0));
-    for (size_t t = 0; t < cycles_; t++)
-        for (size_t k = 0; k < tp.watchSigs.size(); k++)
-            tr.frames[t][tp.watchSigs[k]] = watched(t, k, lane);
-    return tr;
-}
-
 } // namespace rmp::sim

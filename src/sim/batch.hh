@@ -94,7 +94,6 @@ class BatchSim
     /// @{
     void setRecording(bool on) { recording_ = on; }
     void reserveTrace(size_t cycles);
-    size_t numWatch() const { return tp.watchSlots.size(); }
     /** Watched signal @p k's value at cycle @p t on @p lane (pre-latch,
      *  == the interpreted Simulator's frame value). */
     uint64_t
@@ -102,13 +101,6 @@ class BatchSim
     {
         return frames_[(t * tp.watchSlots.size() + k) * P_ + lane];
     }
-    /**
-     * Materialize one lane's recording as a sparse SimTrace: frames are
-     * @p num_cells wide with watched signals filled in and every other
-     * signal zero. Downstream consumers (prop::evalOnTrace, μPATH
-     * construction) may only read watched signals from such a trace.
-     */
-    SimTrace laneTrace(unsigned lane, size_t num_cells) const;
     /// @}
 
     const Tape &tape() const { return tp; }
@@ -128,7 +120,7 @@ class BatchSim
     uint64_t *vals_ = nullptr;
     std::vector<uint64_t> in_;      ///< numInputs * P, staged
     std::vector<uint64_t> scratch_; ///< latches * P (two-phase latch)
-    std::vector<uint64_t> frames_;  ///< cycles * numWatch * P
+    std::vector<uint64_t> frames_;  ///< cycles * watchSlots * P
     size_t cycles_ = 0;
     bool recording_ = true;
 };

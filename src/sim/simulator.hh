@@ -6,7 +6,9 @@
  *  - functional oracle for the DUVs (tests run programs and check
  *    architectural results),
  *  - independent witness validator: every Reachable verdict from the BMC
- *    engine is replayed here before being trusted (DESIGN.md §5),
+ *    engine is replayed here before being trusted (DESIGN.md §5), and
+ *    every BMC witness trace — solved, cached or stored — comes from
+ *    this replay,
  *  - observation-trace generator for the SC-Safe experiment (Def. V.1).
  */
 
@@ -26,14 +28,7 @@ namespace rmp
 /** Input valuations for one cycle: SigId of an Input cell -> value. */
 using InputMap = std::unordered_map<SigId, uint64_t>;
 
-/**
- * A simulated execution trace: per cycle, the value of every signal.
- *
- * Watch-set traces (BatchSim::laneTrace, compiled witness replay) use the
- * same representation sparsely: frames stay full-width but only watched
- * signals carry values — everything else reads as zero. Consumers of such
- * traces must restrict themselves to the watch set.
- */
+/** A simulated execution trace: per cycle, the value of every signal. */
 struct SimTrace
 {
     /** frames[t][sig] = value of sig during cycle t (masked to width). */

@@ -106,8 +106,7 @@ lowerOp(Op op)
 } // anonymous namespace
 
 Tape
-compileTape(const Design &d, const std::vector<SigId> &watch,
-            FoldCache *fold)
+compileTape(const Design &d, const std::vector<SigId> &watch)
 {
     auto t0 = std::chrono::steady_clock::now();
     Tape tp;
@@ -154,70 +153,27 @@ compileTape(const Design &d, const std::vector<SigId> &watch,
     }
 
     // Constant folding, in topo order so every argument's foldability
-    // is known first. Folding is deliberately liveness-independent: a
-    // cell's foldability depends only on its transitive inputs, so the
-    // results hold for any watch set and can be memoized in a FoldCache
-    // across the recompiles of the witness re-derivation path.
-    FoldCache localFold;
-    FoldCache *fc = fold ? fold : &localFold;
-    if (fc->design == &d && fc->numCells == d.numCells()) {
-        fc->hits++;
-        if (obs::enabled())
-            obs::Registry::global().counter("sim.tape_fold_reuse").add(1);
-    } else {
-        fc->design = &d;
-        fc->numCells = d.numCells();
-        fc->hits = 0;
-        fc->kbApplied = false;
-        fc->kbFoldedCells = 0;
-        fc->folded.assign(d.numCells(), 0);
-        fc->cval.assign(d.numCells(), 0);
-        for (SigId id = 0; id < d.numCells(); id++) {
-            if (d.cell(id).op == Op::Const) {
-                fc->folded[id] = 1;
-                fc->cval[id] = d.cell(id).cval.value();
-            }
-        }
-        for (SigId id : d.topoOrder()) {
-            const Cell &c = d.cell(id);
-            if (fc->folded[id])
-                continue;
-            bool all_const = c.numArgs() > 0;
-            for (unsigned i = 0; i < c.numArgs(); i++)
-                all_const = all_const && fc->folded[c.args[i]];
-            if (all_const) {
-                fc->folded[id] = 1;
-                fc->cval[id] = foldCell(d, c, fc->cval);
-            }
+    // is known first.
+    std::vector<uint8_t> folded(d.numCells(), 0);
+    std::vector<uint64_t> cval(d.numCells(), 0);
+    for (SigId id = 0; id < d.numCells(); id++) {
+        if (d.cell(id).op == Op::Const) {
+            folded[id] = 1;
+            cval[id] = d.cell(id).cval.value();
         }
     }
-    // Known-bits constantization (analysis::seedFoldCache): comb cells
-    // the absint fixpoint proved constant on every reachable cycle fold
-    // exactly like syntactic constants — BatchSim only ever executes
-    // runs from reset with free inputs, the trace set the facts cover.
-    const bool haveKb =
-        fc->kbDesign == &d && fc->kbConst.size() == d.numCells();
-    if (haveKb && !fc->kbApplied) {
-        fc->kbApplied = true;
-        fc->kbFoldedCells = 0;
-        for (SigId id = 0; id < d.numCells(); id++) {
-            if (!fc->kbConst[id] || fc->folded[id])
-                continue;
-            const Cell &c = d.cell(id);
-            rmp_assert(isCombOp(c.op) && c.op != Op::Const,
-                       "kb fold marked non-comb cell %u", id);
-            fc->folded[id] = 1;
-            fc->cval[id] = fc->kbVal[id];
-            fc->kbFoldedCells++;
+    for (SigId id : d.topoOrder()) {
+        const Cell &c = d.cell(id);
+        if (folded[id])
+            continue;
+        bool all_const = c.numArgs() > 0;
+        for (unsigned i = 0; i < c.numArgs(); i++)
+            all_const = all_const && folded[c.args[i]];
+        if (all_const) {
+            folded[id] = 1;
+            cval[id] = foldCell(d, c, cval);
         }
-        if (obs::enabled())
-            obs::Registry::global()
-                .counter("sim.tape_kb_folded")
-                .add(fc->kbFoldedCells);
     }
-    const std::vector<uint8_t> &folded = fc->folded;
-    const std::vector<uint64_t> &cval = fc->cval;
-    tp.kbFolded = haveKb ? fc->kbFoldedCells : 0;
     for (SigId id = 0; id < d.numCells(); id++)
         if (live[id] && folded[id] && d.cell(id).op != Op::Const)
             tp.constsFolded++;
@@ -413,29 +369,6 @@ compileTape(const Design &d, const std::vector<SigId> &watch,
             break;
           default:
             break;
-        }
-        // Known-bits mask narrowing: rewrites the syntactic rules above
-        // cannot see. An And whose constant mask already covers every
-        // possibly-one bit of the other operand is the identity on it,
-        // and a low Slice that provably drops only zero bits is too.
-        if (alias == kNoSlot && haveKb) {
-            const std::vector<uint64_t> &poss = fc->kbPossible;
-            switch (c.op) {
-              case Op::And:
-                if (cb && (poss[c.args[0]] & ~cbV) == 0 && fits(0))
-                    alias = sa;
-                else if (ca && (poss[c.args[1]] & ~caV) == 0 && fits(1))
-                    alias = sb;
-                break;
-              case Op::Slice:
-                if (c.aux0 == 0 && (poss[c.args[0]] & ~mask) == 0)
-                    alias = sa;
-                break;
-              default:
-                break;
-            }
-            if (alias != kNoSlot)
-                tp.kbAliased++;
         }
         if (alias != kNoSlot) {
             tp.slotOf[id] = alias;

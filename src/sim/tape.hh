@@ -135,12 +135,8 @@ struct Tape
     uint32_t cellsTotal = 0;
     uint32_t cellsPruned = 0;
     uint32_t constsFolded = 0;
-    /** Of constsFolded, cells only known-bits facts could constantize. */
-    uint32_t kbFolded = 0;
     /** Cells elided by identity / absorption / CSE slot aliasing. */
     uint32_t cellsAliased = 0;
-    /** Of cellsAliased, rewrites enabled by known-bits mask narrowing. */
-    uint32_t kbAliased = 0;
     /** Distinct pooled constant slots (the `sim.tape_consts` metric:
      *  every folded cell and absorption rewrite shares one of these). */
     uint32_t constsPooled = 0;
@@ -152,61 +148,11 @@ struct Tape
 };
 
 /**
- * Memoized constant-folding results for one design, reused across
- * compileTape() calls. Folding is watch-set independent (every comb
- * cell's foldability is decided from its transitive inputs alone), but
- * the witness re-derivation path (bmc::Engine::replayTapeFor) recompiles
- * the same design's tape every time its watch closure grows — without a
- * cache each recompile re-derives and re-pools the same constants.
- * Callers that recompile hold one FoldCache and pass it to every call;
- * the cache is invalidated automatically if the design changes shape.
- */
-struct FoldCache
-{
-    const Design *design = nullptr;
-    size_t numCells = 0;
-    /** folded[id] != 0 iff cell id's value is a compile-time constant. */
-    std::vector<uint8_t> folded;
-    /** cval[id] = that constant (meaningful only where folded). */
-    std::vector<uint64_t> cval;
-    /** Number of compiles served from this cache (test observability). */
-    uint32_t hits = 0;
-
-    /**
-     * @name Optional known-bits facts (analysis::seedFoldCache)
-     *
-     * Semantic constants beyond syntactic folding: kbConst[id] marks a
-     * comb cell proven constant kbVal[id] on every cycle of every run
-     * from reset — the only runs BatchSim ever executes — and
-     * kbPossible[id] is the cell's possibly-one bit mask, which the
-     * compiler's alias rules use to narrow redundant masking. Empty
-     * (size 0) when no facts were seeded; sized numCells otherwise.
-     * Registers and inputs are never marked (their slots are written
-     * externally).
-     */
-    /// @{
-    /** Design the kb facts were derived from (seed-time stamp; facts
-     *  are ignored unless it matches the compiled design). */
-    const Design *kbDesign = nullptr;
-    std::vector<uint8_t> kbConst;
-    std::vector<uint64_t> kbVal;
-    std::vector<uint64_t> kbPossible;
-    /** kb facts already merged into folded/cval (once per cache). */
-    bool kbApplied = false;
-    /** Cells constantized by kb facts alone (not syntactically). */
-    uint32_t kbFoldedCells = 0;
-    /// @}
-};
-
-/**
  * Lower @p design into a Tape that preserves, cycle for cycle and bit
  * for bit, the interpreted Simulator's values of every signal in
  * @p watch plus every register. Duplicate watch entries are deduped.
- * A non-null @p fold memoizes constant folding across repeated calls
- * on the same design (see FoldCache).
  */
-Tape compileTape(const Design &design, const std::vector<SigId> &watch,
-                 FoldCache *fold = nullptr);
+Tape compileTape(const Design &design, const std::vector<SigId> &watch);
 
 } // namespace rmp::sim
 

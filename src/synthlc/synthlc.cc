@@ -70,9 +70,7 @@ buildFsmTaintWires(const designs::Harness &hx, const ift::Instrumented &inst)
 }
 
 /** Named-field engine configuration (positional init breaks silently as
- *  EngineConfig grows). SynthLC never reads witness traces — only
- *  outcomes — so compiled witness validation needs no extra watch
- *  signals beyond the queries' own supports. */
+ *  EngineConfig grows). */
 bmc::EngineConfig
 engineConfigFor(const designs::Harness &hx, const ift::Instrumented &inst,
                 const SynthLcConfig &config)
@@ -80,10 +78,8 @@ engineConfigFor(const designs::Harness &hx, const ift::Instrumented &inst,
     bmc::EngineConfig ec;
     ec.bound = config.bound ? config.bound : hx.duv().completenessBound;
     ec.budget = config.budget;
-    ec.validateWitnesses = true;
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;
-    ec.compiledReplay = true;
     if (config.staticPrune) {
         ec.staticPrune = true;
         // Facts are over the instrumented design (the one the pool's
@@ -106,7 +102,7 @@ SynthLc::SynthLc(const designs::Harness &harness, const SynthLcConfig &config)
       inst(ift::instrument(hx.design(), iftConfigFor(harness))),
       fsmTaint(buildFsmTaintWires(harness, inst)),
       pool_(*inst.design, engineConfigFor(harness, inst, config),
-            exec::ExecConfig{config.jobs, config.lanes, config.store}),
+            exec::ExecConfig{.jobs = config.jobs, .store = config.store}),
       base(hx.baseAssumes())
 {
 }
@@ -444,27 +440,23 @@ SynthLc::analyze(InstrId transponder, const std::vector<Decision> &decisions,
     for (size_t k = 0; k < batches.size(); k++) {
         for (auto &[src, ds] : sources) {
             for (const Decision &d : ds) {
-                bool hit;
-                if (hits[k].count({src, d})) {
-                    hit = true;
-                } else {
+                bool hit = hits[k].count({src, d}) > 0;
+                if (!hit) {
                     const bmc::CoverResult &r = rs[pi++];
                     stats_.queries++;
                     stats_.seconds += r.seconds;
                     switch (r.outcome) {
                       case bmc::Outcome::Reachable:
                         stats_.reachable++;
-                        hit = true;
                         break;
                       case bmc::Outcome::Unreachable:
                         stats_.unreachable++;
-                        hit = false;
                         break;
-                      default:
+                      case bmc::Outcome::Undetermined:
                         stats_.undetermined++;
-                        hit = cfg.undeterminedAsReachable;
                         break;
                     }
+                    hit = r.reachable();
                 }
                 if (hit)
                     tags[{src, d}].push_back(

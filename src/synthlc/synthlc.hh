@@ -112,8 +112,9 @@ struct LeakageSignature
 /** Configuration. */
 struct SynthLcConfig
 {
+    /** Per-query SAT budget; an Undetermined probe counts as no
+     *  dependency, like an unreachable one (§VII-B3/B4). */
     sat::SatBudget budget{};
-    bool undeterminedAsReachable = false;
     /** Unrolling bound; 0 = the DUV's completeness bound. */
     unsigned bound = 0;
     /** Assumption schemes to evaluate (all four by default). */
@@ -143,8 +144,6 @@ struct SynthLcConfig
      * (DESIGN.md §"Parallel evaluation").
      */
     unsigned jobs = 0;
-    /** Engine lanes (0 = exec::EnginePool::kDefaultLanes). */
-    unsigned lanes = 0;
     /**
      * Statically discharge covers refuted by the absint fixpoint over
      * the *instrumented* design (see r2m::SynthesisConfig::staticPrune).

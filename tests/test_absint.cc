@@ -22,9 +22,7 @@
 #include "report/report.hh"
 #include "rtl2mupath/synth.hh"
 #include "rtlir/builder.hh"
-#include "sim/batch.hh"
 #include "sim/simulator.hh"
-#include "sim/tape.hh"
 
 using namespace rmp;
 using namespace rmp::analysis;
@@ -408,53 +406,6 @@ TEST(LintAbsint, DetectsUntaintedTaintSink)
         }
     EXPECT_TRUE(clean_flagged);
     EXPECT_FALSE(out_flagged);
-}
-
-// --------------------------------------------------- tape kb folding --
-
-TEST(TapeKb, SeededFoldMatchesUnseededBitForBit)
-{
-    FactsRig t;
-    std::vector<SigId> watch = {t.hit_stuck, t.hit_dead, t.hit_ctr,
-                                t.ctr};
-
-    sim::FoldCache plain_fc;
-    sim::Tape plain = sim::compileTape(t.d, watch, &plain_fc);
-
-    sim::FoldCache kb_fc;
-    AbsFacts f = staticFacts(t.d, {t.fsm});
-    seedFoldCache(t.d, f, &kb_fc);
-    sim::Tape folded = sim::compileTape(t.d, watch, &kb_fc);
-
-    // The facts constantize comb cells syntactic folding cannot see
-    // (hit_stuck compares a stuck register; hit_dead a dead state).
-    EXPECT_GT(kb_fc.kbFoldedCells, 0u);
-    EXPECT_LE(folded.opc.size(), plain.opc.size());
-
-    sim::BatchSim sa(plain, 2);
-    sim::BatchSim sb(folded, 2);
-    sa.setRecording(true);
-    sb.setRecording(true);
-    std::mt19937_64 rng(23);
-    for (int cyc = 0; cyc < 48; cyc++) {
-        sa.clearInputs();
-        sb.clearInputs();
-        for (unsigned lane = 0; lane < 2; lane++) {
-            uint64_t v = rng() & 0xFF;
-            sa.stageInput(lane, t.in, v);
-            sb.stageInput(lane, t.in, v);
-        }
-        sa.step();
-        sb.step();
-    }
-    ASSERT_EQ(sa.numWatch(), sb.numWatch());
-    for (size_t cyc = 0; cyc < 48; cyc++)
-        for (size_t k = 0; k < sa.numWatch(); k++)
-            for (unsigned lane = 0; lane < 2; lane++)
-                EXPECT_EQ(sa.watched(cyc, k, lane),
-                          sb.watched(cyc, k, lane))
-                    << "cycle " << cyc << " watch " << k << " lane "
-                    << lane;
 }
 
 // ------------------------------------- IFT lint on the mcva variants --

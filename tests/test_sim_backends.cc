@@ -261,30 +261,3 @@ TEST(SimBackends, SimdIsaReportsSomething)
         }
     }
 }
-
-TEST(SimBackends, FoldCacheReusesAcrossCompilesOfOneDesign)
-{
-    // Satellite property: the const-fold pass is computed once per
-    // design and reused by later compileTape calls on any watch set
-    // (the witness re-derivation path recompiles per witness).
-    designs::Harness hx(designs::buildTiny3());
-    const Design &d = hx.design();
-    sim::FoldCache fold;
-    sim::Tape t1 = sim::compileTape(d, watchAll(d), &fold);
-    EXPECT_EQ(fold.hits, 0u);
-    std::vector<SigId> narrow = {hx.plSig(0).occupied};
-    sim::Tape t2 = sim::compileTape(d, narrow, &fold);
-    EXPECT_EQ(fold.hits, 1u);
-    sim::Tape t3 = sim::compileTape(d, watchAll(d), &fold);
-    EXPECT_EQ(fold.hits, 2u);
-    EXPECT_GT(t1.constsPooled, 0u);
-    // Identical watch set + reused folding ⇒ identical tape program.
-    ASSERT_EQ(t1.numOps(), t3.numOps());
-    EXPECT_EQ(t1.opc, t3.opc);
-    EXPECT_EQ(t1.dst, t3.dst);
-    EXPECT_EQ(t1.mask, t3.mask);
-    // And the cached folding is watch-set independent: both tapes
-    // still match the oracle exactly.
-    EXPECT_EQ(diffCount(d, t2, 2, 16, 31), 0u);
-    EXPECT_EQ(diffCount(d, t3, 2, 16, 33), 0u);
-}

@@ -237,32 +237,6 @@ TEST(SimCompiled, StageInputRejectsPrunedInputs)
     EXPECT_EQ(bs.watched(1, 0, 0), 6u);
 }
 
-TEST(SimCompiled, SparseLaneTraceExposesOnlyWatchedSignals)
-{
-    Harness hx(buildTiny3());
-    const Design &d = hx.design();
-    std::vector<SigId> watch = {hx.plSig(0).occupied,
-                                hx.plSig(1).occupied};
-    sim::Tape tape = sim::compileTape(d, watch);
-    sim::BatchSim bs(tape, 2);
-    auto progs = randomPrograms(d, 2, 10, 29);
-    Simulator oracle(d);
-    for (unsigned t = 0; t < 10; t++) {
-        bs.clearInputs();
-        bs.stageInputs(0, progs[0][t]);
-        bs.stageInputs(1, progs[1][t]);
-        bs.step();
-        oracle.step(progs[1][t]);
-    }
-    SimTrace trace = bs.laneTrace(1, d.numCells());
-    ASSERT_EQ(trace.numCycles(), 10u);
-    for (unsigned t = 0; t < 10; t++) {
-        ASSERT_EQ(trace.frames[t].size(), d.numCells());
-        for (SigId w : watch)
-            EXPECT_EQ(trace.value(t, w), oracle.trace().value(t, w));
-    }
-}
-
 #if !defined(NDEBUG)
 TEST(SimCompiled, TraceValueBoundsCheckedInDebugBuilds)
 {

@@ -22,6 +22,8 @@
 
 #include "common/interrupt.hh"
 #include "designs/catalog.hh"
+#include "exec/engine_pool.hh"
+#include "prop/property.hh"
 #include "sat/drat.hh"
 #include "sat/solver.hh"
 #include "report/report.hh"
@@ -503,6 +505,53 @@ TEST(VerdictStoreIntegration, ColdThenWarmSynthesisIdentical)
     EXPECT_TRUE(v.ok()) << v.firstFailure;
     EXPECT_GT(v.proofs, 0u);
     EXPECT_EQ(v.proofsOk, v.proofs);
+    fs::remove_all(root);
+}
+
+/**
+ * A Reachable verdict's witness is one artifact whichever layer answers:
+ * the solver's replay-validated witness, a memory-cache hit and a store
+ * hit (each re-deriving the trace by replay) carry the same inputs,
+ * match frame and full trace.
+ */
+TEST(VerdictStoreIntegration, WitnessTraceSameFromSolverCacheAndStore)
+{
+    clearInterrupt();
+    std::string root = makeTempRoot();
+    designs::Harness hx(*designs::buildDuv("tiny3"));
+    const bmc::EngineConfig ec =
+        r2m::MuPathSynthesizer(hx).pool().engineConfig();
+    const exec::Query q{prop::pBit(hx.plSig(0).occupied), hx.baseAssumes(),
+                        -1};
+
+    bmc::CoverResult solved, memHit, storeHit;
+    {
+        VerdictStore st(root);
+        ASSERT_TRUE(st.enabled());
+        exec::EnginePool a(hx.design(), ec,
+                           exec::ExecConfig{.jobs = 1, .store = &st});
+        solved = a.eval(q); // miss: solved, then written through
+        memHit = a.eval(q);
+        EXPECT_EQ(a.stats().cache.hits, 1u);
+        EXPECT_EQ(a.stats().engine.queries, 1u);
+    }
+    {
+        VerdictStore st(root);
+        exec::EnginePool b(hx.design(), ec,
+                           exec::ExecConfig{.jobs = 1, .store = &st});
+        storeHit = b.eval(q);
+        EXPECT_EQ(b.stats().store.hits, 1u);
+        EXPECT_EQ(b.stats().engine.queries, 0u);
+    }
+
+    ASSERT_EQ(solved.outcome, bmc::Outcome::Reachable);
+    ASSERT_GT(solved.witness.trace.numCycles(), 0u);
+    for (const bmc::CoverResult *r : {&memHit, &storeHit}) {
+        EXPECT_EQ(r->outcome, solved.outcome);
+        EXPECT_EQ(r->witness.inputs, solved.witness.inputs);
+        EXPECT_EQ(r->witness.matchFrame, solved.witness.matchFrame);
+        EXPECT_EQ(r->witness.trace.frames, solved.witness.trace.frames);
+    }
     fs::remove_all(root);
 }
 
