@@ -23,8 +23,8 @@
  * lattice and terminates; a generous iteration cap panics in case of a
  * transfer-function monotonicity bug rather than looping.
  *
- * Soundness of the consumers (static cover pruning and the absint lint
- * rules) reduces to one claim, argued in DESIGN.md §3i:
+ * Soundness of the consumers (the absint lint rules and the facts
+ * `rmp analyze` reports) reduces to one claim, argued in DESIGN.md §3i:
  * facts().val[s] contains every value cell s takes on any
  * reachable-from-reset trace. Anything proven impossible here is
  * impossible in every bounded unrolling and every simulation.
@@ -81,8 +81,7 @@ struct AbsVal
 /** Lattice join (set union): keeps only facts true of both sides. */
 AbsVal joinAbs(const AbsVal &x, const AbsVal &y, uint64_t mask);
 
-/** Fixpoint results for one design. Immutable once computed; shared by
- *  reference between the engine pool's lanes (bmc::EngineConfig). */
+/** Fixpoint results for one design. Immutable once computed. */
 struct AbsFacts
 {
     /** Structural fingerprint of the analyzed design
@@ -98,9 +97,8 @@ struct AbsFacts
     /** Total proven bits / total bits across all cells. */
     uint64_t bitsKnown = 0;
     uint64_t bitsTotal = 0;
-    /** Order-independent digest of every per-cell fact. Folded into
-     *  exec::QueryCache keys: runs pruned under different facts (e.g.
-     *  with vs without FSM refinement) never share memoized verdicts. */
+    /** Order-independent digest of every per-cell fact: equal digests
+     *  mean equal facts (e.g. with vs without FSM refinement differ). */
     uint64_t fingerprint = 0;
 
     const AbsVal &of(SigId id) const { return val[id]; }

@@ -6,7 +6,7 @@
  * variables of uhb::MicroFsm — passed in as plain SigIds so this layer
  * stays below uhb), the global known-bits fixpoint is usually coarse:
  * joining all states loses exactly the "which states exist at all"
- * information the synthesis loop's PL-occupancy covers ask about.
+ * information that lint's unreachable-fsm-state rule reports.
  *
  * fsmReachability() sharpens them with symbolic successor enumeration:
  * starting from the reset value, each reachable state s is pinned into
@@ -22,9 +22,9 @@
  * from reset, computed under an env that over-approximates the final
  * one). Refinement rounds repeat until nothing shrinks.
  *
- * This is what lets a statically dead PL valuation kill its occupancy
- * cover: Eq(state_var, dead_value) evaluates to known-0, the occupancy
- * conjunction collapses, and bmc::Engine never builds the query.
+ * This is what proves a declared μFSM state valuation dead:
+ * Eq(state_var, dead_value) evaluates to known-0 everywhere downstream,
+ * and `rmp analyze` lists the exact reachable set.
  */
 
 #ifndef ANALYSIS_FSMREACH_HH
@@ -77,10 +77,10 @@ std::vector<FsmReachResult> fsmReachability(const Design &d,
 
 /**
  * Convenience: absInterpret() sharpened by fsmReachability() over
- * @p controlRegs, as one call. This is the fact set every static-pruning
- * consumer (bmc::EngineConfig::staticFacts, the CLI's analyze command)
- * should use for a harnessed design — the caller supplies the μFSM state
- * variables (e.g. uhb::MicroFsm::vars) as plain SigIds.
+ * @p controlRegs, as one call: the fact set `rmp analyze` reports for a
+ * harnessed design — the caller supplies the μFSM state variables (e.g.
+ * uhb::MicroFsm::vars) as plain SigIds. The benchmark harness times it
+ * (rmpbench/src/oneshot.cc:278).
  */
 AbsFacts staticFacts(const Design &d, const std::vector<SigId> &controlRegs,
                      const AbsintConfig &acfg = {},

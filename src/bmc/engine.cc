@@ -21,107 +21,12 @@ outcomeName(Outcome o)
     return "?";
 }
 
-StaticTern
-staticEval(const Design &design, const analysis::AbsFacts &facts,
-           const prop::ExprRef &e)
-{
-    using K = prop::ExprKind;
-    switch (e->kind) {
-      case K::True:
-        return StaticTern::True;
-      case K::SigEqConst: {
-          const analysis::AbsVal &v = facts.of(e->sig);
-          // Compare in-width bits only (the bit-blasted semantics:
-          // sigEqConst never reads constant bits past the signal width).
-          uint64_t mask = BitVec::maskOf(design.cell(e->sig).width);
-          uint64_t c = e->value & mask;
-          if (!v.admits(c))
-              return StaticTern::False;
-          if (v.known(mask) && v.cval() == c)
-              return StaticTern::True;
-          return StaticTern::Unknown;
-      }
-      case K::SigBit: {
-          if (e->value >= design.cell(e->sig).width)
-              return StaticTern::Unknown;
-          const analysis::AbsVal &v = facts.of(e->sig);
-          uint64_t bit = 1ULL << e->value;
-          if (v.zeros & bit)
-              return StaticTern::False;
-          if (v.ones & bit)
-              return StaticTern::True;
-          return StaticTern::Unknown;
-      }
-      case K::Not:
-        switch (staticEval(design, facts, e->a)) {
-          case StaticTern::False: return StaticTern::True;
-          case StaticTern::True: return StaticTern::False;
-          case StaticTern::Unknown: return StaticTern::Unknown;
-        }
-        return StaticTern::Unknown;
-      case K::And: {
-          StaticTern a = staticEval(design, facts, e->a);
-          StaticTern b = staticEval(design, facts, e->b);
-          if (a == StaticTern::False || b == StaticTern::False)
-              return StaticTern::False;
-          if (a == StaticTern::True && b == StaticTern::True)
-              return StaticTern::True;
-          return StaticTern::Unknown;
-      }
-      case K::Or: {
-          StaticTern a = staticEval(design, facts, e->a);
-          StaticTern b = staticEval(design, facts, e->b);
-          if (a == StaticTern::True || b == StaticTern::True)
-              return StaticTern::True;
-          if (a == StaticTern::False && b == StaticTern::False)
-              return StaticTern::False;
-          return StaticTern::Unknown;
-      }
-      case K::Delay: {
-          // a ##k b: the facts are time-invariant, so a constant-false
-          // child falsifies the sequence at every alignment. Never True:
-          // the bounded semantics falsifies matches whose delayed child
-          // would land past the unrolling bound.
-          StaticTern a = staticEval(design, facts, e->a);
-          StaticTern b = staticEval(design, facts, e->b);
-          if (a == StaticTern::False || b == StaticTern::False)
-              return StaticTern::False;
-          return StaticTern::Unknown;
-      }
-    }
-    return StaticTern::Unknown;
-}
-
 Engine::Engine(const Design &design, const EngineConfig &config)
     : d(design), cfg(config),
       ctx_(design, config.auditProof, config.captureProof, config.queryLog)
 {
     rmp_assert(cfg.bound >= 1, "bound must be positive");
-    if (cfg.staticPrune) {
-        if (!cfg.staticFacts)
-            cfg.staticFacts = std::make_shared<const analysis::AbsFacts>(
-                analysis::absInterpret(d));
-        rmp_assert(cfg.staticFacts->val.size() == d.numCells(),
-                   "static facts cover %zu of %zu cells",
-                   cfg.staticFacts->val.size(), d.numCells());
-    }
     ctx_.unrolling.ensureFrames(cfg.bound - 1);
-}
-
-bool
-Engine::staticallyFalse(const prop::ExprRef &seq,
-                        const std::vector<prop::ExprRef> &assumes) const
-{
-    if (!cfg.staticPrune || !cfg.staticFacts)
-        return false;
-    if (staticEval(d, *cfg.staticFacts, seq) == StaticTern::False)
-        return true;
-    // An assume that is statically false fails at cycle 0 of every
-    // reachable trace: the query is vacuous, hence Unreachable.
-    for (const auto &a : assumes)
-        if (staticEval(d, *cfg.staticFacts, a) == StaticTern::False)
-            return true;
-    return false;
 }
 
 sat::Lit
@@ -220,34 +125,6 @@ Engine::run(const prop::ExprRef &seq,
     obs::Span span("bmc-cover", "bmc");
     auto t0 = std::chrono::steady_clock::now();
 
-    // Static pruning: a cover refuted by the absint facts is Unreachable
-    // without unrolling or solving. Under verdict auditing the query
-    // falls through to the solver and the answers are reconciled below.
-    const bool static_false = staticallyFalse(seq, assumes);
-    const bool auditing = cfg.auditReplay || cfg.auditProof;
-    if (static_false && !auditing) {
-        CoverResult res;
-        res.outcome = Outcome::Unreachable;
-        auto t1 = std::chrono::steady_clock::now();
-        res.seconds = std::chrono::duration<double>(t1 - t0).count();
-        stats_.queries++;
-        stats_.unreachable++;
-        stats_.staticPruned++;
-        stats_.totalSeconds += res.seconds;
-        if (span.active()) {
-            span.arg("outcome", static_cast<uint64_t>(res.outcome));
-            span.arg("static_pruned", uint64_t{1});
-            obs::Registry &reg = obs::Registry::global();
-            reg.counter("bmc.queries",
-                        {{"outcome", outcomeName(res.outcome)}})
-                .add(1);
-            reg.counter("absint.covers_pruned").add(1);
-            reg.histogram("bmc.query_ns")
-                .record(static_cast<uint64_t>(res.seconds * 1e9));
-        }
-        return res;
-    }
-
     Unrolling &unrolling = ctx_.unrolling;
     Aig &g = unrolling.aig();
 
@@ -262,10 +139,14 @@ Engine::run(const prop::ExprRef &seq,
     }
     AigLit cover_lit = g.mkOrN(starts);
 
-    // Assumption literals: each assume holds at every frame.
+    // Assumption literals: each assume holds at every frame. A cover that
+    // folds to constant false is Unreachable whatever the assumes say, so
+    // its assumes are neither compiled nor encoded into the solver.
     std::vector<sat::Lit> assumptions;
     bool vacuous = false;
     for (const auto &a : assumes) {
+        if (cover_lit == kFalse)
+            break;
         unsigned last = cfg.bound > a->depth() ? cfg.bound - a->depth() : 1;
         for (unsigned t = 0; t < last && !vacuous; t++) {
             AigLit l = prop::compile(a, unrolling, t, cfg.bound);
@@ -375,22 +256,6 @@ Engine::run(const prop::ExprRef &seq,
         }
     }
 
-    if (static_false) {
-        // Audit fall-through: the solver re-proved the pruned query. A
-        // Reachable answer contradicts the static proof — one of the two
-        // is defective; record it for the caller to quarantine. Either
-        // way the reported verdict matches the non-audited path.
-        stats_.staticPruned++;
-        if (res.outcome == Outcome::Reachable) {
-            res.audit.mismatch = true;
-            res.audit.detail =
-                "static prune audit: solver found a witness for a "
-                "statically-false cover";
-            res.witness = Witness{};
-        }
-        res.outcome = Outcome::Unreachable;
-    }
-
     auto t1 = std::chrono::steady_clock::now();
     res.seconds = std::chrono::duration<double>(t1 - t0).count();
     res.aigNodes = g.numNodes();
@@ -428,8 +293,6 @@ Engine::run(const prop::ExprRef &seq,
         reg.gauge("bmc.cnf_clauses")
             .set(static_cast<int64_t>(ctx_.solver.numClauses()));
         reg.gauge("bmc.sat_vars").set(static_cast<int64_t>(res.satVars));
-        if (static_false)
-            reg.counter("absint.covers_pruned").add(1);
         if (core_hit)
             reg.counter("bmc.assumption_core_hits").add(1);
         if (res.audit.replayed)

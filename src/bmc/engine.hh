@@ -15,17 +15,6 @@
  *    instruction within that bound (DESIGN.md §5);
  *  - Undetermined: the per-query SAT budget was exhausted (the paper's
  *    timeout verdict, §VII-B3/B4).
- *
- * With EngineConfig::staticPrune the engine additionally consults the
- * abstract-interpretation fixpoint (analysis::absInterpret, DESIGN.md
- * §3i) before touching the solver: a cover whose sequence — or any of
- * whose assumes — evaluates to constant FALSE under the facts is
- * returned Unreachable without unrolling or solving. Only the FALSE
- * verdict of the ternary evaluator is consumed, and the facts
- * over-approximate every reachable-from-reset valuation, so a pruned
- * cover is genuinely unreachable and the verdict is identical to what
- * the solver would return. Under verdict auditing the query falls
- * through to the solver anyway and the two answers are cross-checked.
  */
 
 #ifndef BMC_ENGINE_HH
@@ -35,7 +24,6 @@
 #include <string>
 #include <vector>
 
-#include "analysis/absint.hh"
 #include "bmc/unroll.hh"
 #include "prop/property.hh"
 #include "sat/drat.hh"
@@ -82,21 +70,6 @@ ReplayCheck replayWitness(const Design &design,
                           const prop::ExprRef &seq,
                           const std::vector<prop::ExprRef> &assumes,
                           unsigned bound);
-
-/** Kleene truth value of a property under time-invariant facts. */
-enum class StaticTern : int8_t { False = 0, True = 1, Unknown = 2 };
-
-/**
- * Ternary verdict of @p e on every reachable cycle, judged only from the
- * absint facts. False means: no cycle of any reachable-from-reset trace
- * satisfies @p e — facts hold on every such cycle, so a signal predicate
- * the facts refute is refuted always. True is best-effort (##-delayed
- * sequences never report True: the bounded semantics can falsify them
- * near the unrolling bound); Unknown is always sound. The engine's
- * static pruning consumes the False direction only.
- */
-StaticTern staticEval(const Design &design, const analysis::AbsFacts &facts,
-                      const prop::ExprRef &e);
 
 /** A concrete witness for a Reachable cover. */
 struct Witness
@@ -163,8 +136,8 @@ struct CoverResult
     double seconds = 0.0;
     VerdictAudit audit; ///< populated when verdict auditing is on
     /** Proof prefix closing an Unreachable verdict (captureProof only;
-     *  invalid for verdicts discharged without the solver — constant
-     *  folding, vacuous assumes, static pruning). */
+     *  invalid for verdicts discharged without the solver by AIG
+     *  constant folding: a constant-false cover or vacuous assumes). */
     ProofRef proof;
 
     /** @name Instance-size statistics (0 on cache hits)
@@ -207,22 +180,6 @@ struct EngineConfig
      */
     bool auditProof = false;
     /**
-     * Discharge covers statically: a query whose sequence or assumes
-     * are constant-false under the absint fixpoint returns Unreachable
-     * without touching the unroller or solver. Sound (facts
-     * over-approximate all reachable-from-reset traces; only the FALSE
-     * direction is consumed) and verdict-identical to solving. With
-     * auditReplay/auditProof the solver runs anyway and disagreements
-     * are recorded as audit mismatches.
-     */
-    bool staticPrune = false;
-    /**
-     * Facts consulted by staticPrune, shared across engines (EnginePool
-     * computes them once per design). Computed by the engine itself
-     * when null and staticPrune is set.
-     */
-    std::shared_ptr<const analysis::AbsFacts> staticFacts;
-    /**
      * Record the solver's clausal trace (sat::DratLogRecorder)
      * and stamp every solver-issued Unreachable verdict with a
      * CoverResult::proof prefix reference, so the verdict store can
@@ -248,8 +205,9 @@ struct EngineStats
     uint64_t reachable = 0;
     uint64_t unreachable = 0;
     uint64_t undetermined = 0;
-    /** Of unreachable, verdicts discharged by the absint facts alone
-     *  (no SAT query; counted even when auditing re-proves them). */
+    /** Always 0: the removed static cover prune counted here. Kept
+     *  only because the benchmark harness reads it
+     *  (rmpbench/src/oneshot.cc:59,161); delete it with those lines. */
     uint64_t staticPruned = 0;
     /** Of unreachable, verdicts discharged by a remembered failed-
      *  assumption core (no SAT search; the core clause already in the
@@ -392,10 +350,6 @@ class Engine
     Witness extractWitness(const prop::ExprRef &seq,
                            const std::vector<prop::ExprRef> &assumes,
                            VerdictAudit *audit);
-
-    /** True iff staticPrune proves this query Unreachable. */
-    bool staticallyFalse(const prop::ExprRef &seq,
-                         const std::vector<prop::ExprRef> &assumes) const;
 
     const Design &d;
     EngineConfig cfg;

@@ -19,11 +19,6 @@ EnginePool::EnginePool(const Design &design,
                        const ExecConfig &exec_cfg)
     : d(design), engCfg(engine_cfg), designFp(designFingerprint(design))
 {
-    // Compute the absint facts once here rather than once per lane: every
-    // lane engine shares one immutable AbsFacts.
-    if (engCfg.staticPrune && !engCfg.staticFacts)
-        engCfg.staticFacts = std::make_shared<const analysis::AbsFacts>(
-            analysis::absInterpret(d));
     // Persistent store: read-through via the cache, proof capture on the
     // lane engines so Unreachable verdicts come with storable evidence.
     if (exec_cfg.store && exec_cfg.store->enabled()) {
@@ -377,7 +372,6 @@ EnginePool::stats() const
         s.engine.reachable += e.reachable;
         s.engine.unreachable += e.unreachable;
         s.engine.undetermined += e.undetermined;
-        s.engine.staticPruned += e.staticPruned;
         s.engine.assumptionCoreHits += e.assumptionCoreHits;
         s.engine.totalSeconds += e.totalSeconds;
         s.engine.auditReplayed += e.auditReplayed;

@@ -38,14 +38,12 @@ keyWord(uint64_t seed, uint64_t design_fp, const bmc::EngineConfig &cfg,
     // (h ^ 0 == h) keeps every key exactly as earlier builds wrote it,
     // so their verdict stores keep hitting.
     h = mix64(h);
-    // Static pruning changes which queries reach the solver, so pruned
-    // and unpruned runs must never share entries; the facts fingerprint
-    // covers the facts themselves (a refined fixpoint is a different
-    // pruning oracle).
-    h = mix64(h ^ static_cast<uint64_t>(cfg.staticPrune));
-    h = mix64(h ^ (cfg.staticPrune && cfg.staticFacts
-                       ? cfg.staticFacts->fingerprint
-                       : 0));
+    // Retired slots: the removed static cover prune mixed its on/off
+    // flag and its absint facts fingerprint here, both 0 when it was
+    // off. Mixing in those constant 0s keeps every key exactly as
+    // prune-off builds wrote it, so their verdict stores keep hitting.
+    h = mix64(h);
+    h = mix64(h);
     h = mix64(h ^ prop::exprHash(seq, seed));
     // Assumes form a conjunction: order must not change the key.
     std::vector<uint64_t> ah;
@@ -91,14 +89,8 @@ makeQueryKeyBytes(uint64_t design_fp, const bmc::EngineConfig &cfg,
     // Retired slot, always "1": see keyWord().
     s += "|1|";
     s += std::to_string(fixed_frame);
-    // Retired slot, always "0": see keyWord().
-    s += "|0|";
-    s += std::to_string(static_cast<int>(cfg.staticPrune));
-    s.push_back('|');
-    s += std::to_string(cfg.staticPrune && cfg.staticFacts
-                            ? cfg.staticFacts->fingerprint
-                            : 0);
-    s.push_back('|');
+    // Retired slots, always "0": see keyWord().
+    s += "|0|0|0|";
     prop::serializeExpr(seq, &s);
     // Sorted, like the key's assume-hash multiset: conjunction order
     // must not change the bytes either.

@@ -186,6 +186,8 @@ poolStatsJson(const exec::PoolStats &s)
     j.put("reachable", s.engine.reachable);
     j.put("unreachable", s.engine.unreachable);
     j.put("undetermined", s.engine.undetermined);
+    // Always 0 (bmc::EngineStats::staticPruned); kept only for the
+    // benchmark harness's reader (rmpbench/src/daemon.cc:261).
     j.put("static_pruned", s.engine.staticPruned);
     j.put("solver_seconds", s.engine.totalSeconds);
     j.put("cache_hits", s.cache.hits);

@@ -8,7 +8,6 @@
 #include <set>
 #include <cstdio>
 
-#include "analysis/fsmreach.hh"
 #include "common/interrupt.hh"
 #include "common/logging.hh"
 #include "obs/progress.hh"
@@ -57,18 +56,6 @@ engineConfigFor(const designs::Harness &hx, const SynthesisConfig &config)
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;
     ec.queryLog = config.queryLog;
-    if (config.staticPrune) {
-        ec.staticPrune = true;
-        // μFSM state variables are the control registers whose reachable
-        // sets sharpen the fixpoint (unreachable PL valuations are what
-        // the occupancy covers mostly ask about).
-        std::vector<SigId> ctrl;
-        for (const uhb::MicroFsm &fsm : hx.duv().fsms)
-            for (SigId v : fsm.vars)
-                ctrl.push_back(v);
-        ec.staticFacts = std::make_shared<const analysis::AbsFacts>(
-            analysis::staticFacts(hx.design(), ctrl));
-    }
     return ec;
 }
 

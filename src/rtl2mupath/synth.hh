@@ -85,17 +85,6 @@ struct SynthesisConfig
      * (DESIGN.md §"Parallel evaluation").
      */
     unsigned jobs = 0;
-    /**
-     * Discharge covers statically via the abstract-interpretation
-     * fixpoint sharpened by μFSM reachable-state enumeration
-     * (analysis::staticFacts; bmc::EngineConfig::staticPrune). μPATHs
-     * and verdicts are identical with this on or off — a pruned cover
-     * is one the solver would have proven Unreachable — which the
-     * static-prune CI job asserts per DUV. On by default: the
-     * semi-formal profile's remaining solver work is dominated by
-     * exactly the unreachable PL-occupancy covers the facts refute.
-     */
-    bool staticPrune = true;
     /** Audit Reachable verdicts by simulator witness replay
      *  (bmc::EngineConfig::auditReplay). */
     bool auditReplay = false;

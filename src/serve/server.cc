@@ -71,8 +71,8 @@ checkJobRequest(const JsonValue &req, bool synth)
             if (!isIntegerIn(v, 0, kMaxExactInt))
                 return "opts.budget must be an integer in [0, 2^53]";
         } else if (key == "closure" || key == "counts" ||
-                   key == "static_prune" || key == "audit_replay" ||
-                   key == "audit_proof" || key == "render") {
+                   key == "audit_replay" || key == "audit_proof" ||
+                   key == "render") {
             if (v.kind != JsonValue::Kind::Bool)
                 return "opts." + key + " must be a boolean";
         } else if (key == "instrs") {
@@ -713,7 +713,6 @@ Server::makeSynthConfig(const JsonValue &opts, bool closure) const
     sc.budget.maxConflicts = opts.u64("budget", 20'000);
     sc.closureChecks = closure || opts.boolean_("closure");
     sc.revisitCounts = opts.boolean_("counts");
-    sc.staticPrune = opts.boolean_("static_prune", true);
     sc.auditReplay = opts.boolean_("audit_replay");
     sc.auditProof = opts.boolean_("audit_proof");
     sc.jobs = cfg_.jobs;
@@ -726,8 +725,7 @@ Server::synthKey(const std::string &duv, const r2m::SynthesisConfig &sc)
 {
     return duv + "|c" + std::to_string(sc.closureChecks) + "|b" +
            std::to_string(sc.budget.maxConflicts) + "|r" +
-           std::to_string(sc.revisitCounts) + "|s" +
-           std::to_string(sc.staticPrune) + "|ar" +
+           std::to_string(sc.revisitCounts) + "|ar" +
            std::to_string(sc.auditReplay) + "|ap" +
            std::to_string(sc.auditProof);
 }
@@ -779,18 +777,14 @@ Server::runSynth(Worker &w, const Job &job, bool closure)
     if (const JsonValue *instrs = opts.find("instrs");
         instrs && !instrs->items.empty()) {
         for (const JsonValue &v : instrs->items) {
-            bool found = false;
-            for (size_t i = 0; i < hx.duv().instrs.size(); i++) {
-                if (hx.duv().instrs[i].name == v.string) {
-                    ids.push_back(static_cast<uhb::InstrId>(i));
-                    found = true;
-                    break;
-                }
-            }
-            if (!found)
+            std::optional<uhb::InstrId> id = hx.duv().findInstr(v.string);
+            if (!id) {
+                errors_.add();
                 return errorResponse(job.reqId, job.op,
                                      "unknown instruction '" + v.string +
                                          "' on " + duv);
+            }
+            ids.push_back(*id);
         }
     } else {
         for (size_t i = 0; i < hx.duv().instrs.size(); i++)

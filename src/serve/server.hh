@@ -32,9 +32,9 @@
  *
  * Warm state is a registry keyed by (duv, synthesis-config fingerprint):
  * the harnessed design plus its MuPathSynthesizer, whose engine pool —
- * compiled tape, SAT lanes, static facts, query cache — carries across
- * requests. Because routing hashes the same key, a registry entry lives
- * on exactly one worker and is touched by no other thread. A repeated
+ * compiled tape, SAT lanes, query cache — carries across requests.
+ * Because routing hashes the same key, a registry entry lives on
+ * exactly one worker and is touched by no other thread. A repeated
  * synth therefore answers from the in-memory query cache; across daemon
  * restarts the persistent verdict store (store::VerdictStore, when
  * enabled) provides the same continuity on disk.

@@ -72,7 +72,7 @@ struct VerdictRecord
     uint32_t matchFrame = 0;
     bool hasTrace = false;
 
-    /** @name Solve-time statistics (0 for statically discharged verdicts) */
+    /** @name Solve-time statistics */
     /// @{
     double seconds = 0.0;
     /** Retired: written as 0 and never read. Kept so the record layout

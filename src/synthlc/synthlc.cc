@@ -6,7 +6,6 @@
 #include <set>
 #include <sstream>
 
-#include "analysis/fsmreach.hh"
 #include "common/logging.hh"
 #include "obs/progress.hh"
 #include "obs/registry.hh"
@@ -72,26 +71,13 @@ buildFsmTaintWires(const designs::Harness &hx, const ift::Instrumented &inst)
 /** Named-field engine configuration (positional init breaks silently as
  *  EngineConfig grows). */
 bmc::EngineConfig
-engineConfigFor(const designs::Harness &hx, const ift::Instrumented &inst,
-                const SynthLcConfig &config)
+engineConfigFor(const designs::Harness &hx, const SynthLcConfig &config)
 {
     bmc::EngineConfig ec;
     ec.bound = config.bound ? config.bound : hx.duv().completenessBound;
     ec.budget = config.budget;
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;
-    if (config.staticPrune) {
-        ec.staticPrune = true;
-        // Facts are over the instrumented design (the one the pool's
-        // engines unroll); instrumentation appends taint cells without
-        // renumbering, so the harness's μFSM SigIds remain valid.
-        std::vector<SigId> ctrl;
-        for (const uhb::MicroFsm &fsm : hx.duv().fsms)
-            for (SigId v : fsm.vars)
-                ctrl.push_back(v);
-        ec.staticFacts = std::make_shared<const analysis::AbsFacts>(
-            analysis::staticFacts(*inst.design, ctrl));
-    }
     return ec;
 }
 
@@ -101,7 +87,7 @@ SynthLc::SynthLc(const designs::Harness &harness, const SynthLcConfig &config)
     : hx(harness), cfg(config),
       inst(ift::instrument(hx.design(), iftConfigFor(harness))),
       fsmTaint(buildFsmTaintWires(harness, inst)),
-      pool_(*inst.design, engineConfigFor(harness, inst, config),
+      pool_(*inst.design, engineConfigFor(harness, config),
             exec::ExecConfig{.jobs = config.jobs, .store = config.store}),
       base(hx.baseAssumes())
 {

@@ -144,15 +144,6 @@ struct SynthLcConfig
      * (DESIGN.md §"Parallel evaluation").
      */
     unsigned jobs = 0;
-    /**
-     * Statically discharge covers refuted by the absint fixpoint over
-     * the *instrumented* design (see r2m::SynthesisConfig::staticPrune).
-     * Facts are sharpened with the μFSM state registers' reachable sets;
-     * taint-plane registers reset to 0 and widen through taint
-     * introduction, so a statically-zero taint sink refutes its
-     * decision_taint cover without a solver call.
-     */
-    bool staticPrune = true;
     /** Audit Reachable verdicts by simulator witness replay
      *  (bmc::EngineConfig::auditReplay). */
     bool auditReplay = false;

@@ -51,10 +51,20 @@ DuvInfo::encode(const std::string &name, uint64_t rd, uint64_t rs1,
 InstrId
 DuvInfo::instrId(const std::string &name) const
 {
+    std::optional<InstrId> id = findInstr(name);
+    if (!id)
+        rmp_panic("unknown instruction %s on %s", name.c_str(),
+                  this->name.c_str());
+    return *id;
+}
+
+std::optional<InstrId>
+DuvInfo::findInstr(const std::string &name) const
+{
     for (size_t i = 0; i < instrs.size(); i++)
         if (instrs[i].name == name)
             return static_cast<InstrId>(i);
-    rmp_panic("unknown instruction %s on %s", name.c_str(), this->name.c_str());
+    return std::nullopt;
 }
 
 } // namespace rmp::uhb

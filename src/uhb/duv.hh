@@ -9,6 +9,7 @@
 #define UHB_DUV_HH
 
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -129,6 +130,9 @@ struct DuvInfo
     /** Find an instruction by name; panics if absent. */
     const InstrSpec &instr(const std::string &name) const;
     InstrId instrId(const std::string &name) const;
+    /** The instruction named @p name, or nullopt if the DUV has none
+     *  (for names that come from users). */
+    std::optional<InstrId> findInstr(const std::string &name) const;
 };
 
 } // namespace rmp::uhb

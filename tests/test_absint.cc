@@ -1,11 +1,10 @@
 /**
  * @file
  * Tests for the abstract-interpretation layer (DESIGN.md §3i): AbsVal
- * transfer functions and the fixpoint's soundness against simulation,
- * FSM reachable-state enumeration, the engine's static cover evaluator
- * and pruning (verdict identity with and without, audited and not), the
- * absint lint rules over seeded defects, known-bits tape folding, and
- * the IFT soundness lint on the mcva variant configurations.
+ * transfer functions and the fixpoint's soundness against simulation
+ * and against the audited BMC engine, FSM reachable-state enumeration,
+ * the absint lint rules over seeded defects, and the IFT soundness lint
+ * on the mcva variant configurations.
  */
 
 #include <gtest/gtest.h>
@@ -17,10 +16,6 @@
 #include "analysis/lint.hh"
 #include "bmc/engine.hh"
 #include "designs/mcva.hh"
-#include "designs/tiny3.hh"
-#include "exec/engine_pool.hh"
-#include "report/report.hh"
-#include "rtl2mupath/synth.hh"
 #include "rtlir/builder.hh"
 #include "sim/simulator.hh"
 
@@ -42,8 +37,8 @@ countRule(const LintReport &rep, Rule r)
 
 /**
  * A small netlist with facts of every flavor: a stuck register (r0 <- r0,
- * reset 7), a 2-bit FSM cycling 0 -> 1 -> 2 -> 0 (3 unreachable), a free
- * counter, and observers of each.
+ * reset 7), a 2-bit FSM cycling 0 -> 1 -> 2 -> 0 on cycles where input
+ * bit x[0] is set (3 unreachable), a free counter, and observers of each.
  */
 struct FactsRig
 {
@@ -57,9 +52,13 @@ struct FactsRig
         RegSig r0 = b.regh("stuck", 8, 7);
         b.assign(r0, r0.q); // holds its reset value forever
         RegSig st = b.regh("fsm", 2);
-        // 0->1->2->0; valuation 3 is never produced.
-        b.assign(st, b.mux(st.q == b.lit(2, 2), b.lit(2, 0),
-                           st.q + b.lit(2, 1)));
+        // 0->1->2->0; valuation 3 is never produced. Gating the step on
+        // an input keeps the unrolled FSM from folding to constants, so
+        // BMC needs the solver to refute state 3.
+        b.assign(st, b.mux(x.bit(0),
+                           b.mux(st.q == b.lit(2, 2), b.lit(2, 0),
+                                 st.q + b.lit(2, 1)),
+                           st.q));
         RegSig c = b.regh("ctr", 8);
         b.assign(c, c.q + x);
         Sig hs = b.named("hit_stuck", r0.q == b.lit(8, 7));
@@ -179,138 +178,38 @@ TEST(FsmReach, StaticFactsConvenienceMatchesManualPipeline)
     EXPECT_EQ(conv.bitsKnown, manual.bitsKnown);
 }
 
-// ---------------------------------------------------------- staticEval --
+// -------------------------------------------------- facts vs the solver --
 
-TEST(StaticEval, TernaryVerdictsMatchTheFacts)
+TEST(Absint, RefutedValuesAreUnreachableForTheSolver)
 {
+    // The facts must agree with BMC, not only with simulation: a value
+    // they refute is one the audited engine proves Unreachable, and a
+    // value they admit may be Reachable (replay-checked).
     FactsRig t;
     AbsFacts f = staticFacts(t.d, {t.fsm});
-    auto ev = [&](const prop::ExprRef &e) {
-        return bmc::staticEval(t.d, f, e);
-    };
-    EXPECT_EQ(ev(prop::pEq(t.stuck, 7)), bmc::StaticTern::True);
-    EXPECT_EQ(ev(prop::pEq(t.stuck, 5)), bmc::StaticTern::False);
-    EXPECT_EQ(ev(prop::pEq(t.fsm, 3)), bmc::StaticTern::False);
-    EXPECT_EQ(ev(prop::pEq(t.ctr, 200)), bmc::StaticTern::Unknown);
-    // Kleene connectives.
-    EXPECT_EQ(ev(prop::pNot(prop::pEq(t.stuck, 7))),
-              bmc::StaticTern::False);
-    EXPECT_EQ(ev(prop::pAnd(prop::pEq(t.ctr, 1), prop::pEq(t.fsm, 3))),
-              bmc::StaticTern::False);
-    EXPECT_EQ(ev(prop::pOr(prop::pEq(t.ctr, 1), prop::pEq(t.stuck, 7))),
-              bmc::StaticTern::True);
-    // Bounded-semantics guard: Delay propagates False but NEVER True
-    // (a match can be cut off by the bound), so Not(Delay(True, True))
-    // must stay Unknown rather than becoming a false prune.
-    prop::ExprRef dly =
-        prop::pDelay(prop::pEq(t.stuck, 7), 1, prop::pEq(t.stuck, 7));
-    EXPECT_EQ(ev(dly), bmc::StaticTern::Unknown);
-    EXPECT_EQ(ev(prop::pDelay(prop::pEq(t.stuck, 5), 1,
-                              prop::pEq(t.stuck, 7))),
-              bmc::StaticTern::False);
-    EXPECT_EQ(ev(prop::pNot(dly)), bmc::StaticTern::Unknown);
-}
+    EXPECT_FALSE(f.of(t.stuck).admits(5));
+    EXPECT_FALSE(f.of(t.fsm).admits(3));
+    EXPECT_TRUE(f.of(t.ctr).admits(200));
 
-// ------------------------------------------------------- static prune --
-
-TEST(StaticPrune, EngineDischargesImpossibleCoversWithoutSolving)
-{
-    FactsRig t;
     bmc::EngineConfig cfg;
     cfg.bound = 8;
-    cfg.staticPrune = true;
-    bmc::Engine eng(t.d, cfg);
-
-    // Statically-false cover: no solver query, verdict Unreachable.
-    bmc::CoverResult r = eng.cover(prop::pEq(t.stuck, 5), {});
-    EXPECT_EQ(r.outcome, bmc::Outcome::Unreachable);
-    EXPECT_EQ(eng.stats().staticPruned, 1u);
-    EXPECT_EQ(eng.stats().queries, 1u);
-
-    // Statically-false assume: the query is vacuous.
-    bmc::CoverResult rv =
-        eng.cover(prop::pEq(t.ctr, 3), {prop::pEq(t.stuck, 5)});
-    EXPECT_EQ(rv.outcome, bmc::Outcome::Unreachable);
-    EXPECT_EQ(eng.stats().staticPruned, 2u);
-
-    // A cover the facts cannot refute still goes to the solver and is
-    // genuinely reachable.
-    bmc::CoverResult rr = eng.cover(prop::pEq(t.ctr, 200), {});
-    EXPECT_EQ(rr.outcome, bmc::Outcome::Reachable);
-    EXPECT_EQ(eng.stats().staticPruned, 2u);
-}
-
-TEST(StaticPrune, VerdictsIdenticalWithAndWithoutPruning)
-{
-    FactsRig t;
-    std::vector<exec::Query> qs;
-    qs.push_back({prop::pEq(t.stuck, 5), {}, -1});           // pruned
-    qs.push_back({prop::pEq(t.fsm, 3), {}, -1});             // solver-only
-    qs.push_back({prop::pEq(t.ctr, 200), {}, -1});           // reachable
-    qs.push_back({prop::pEq(t.ctr, 3), {prop::pEq(t.stuck, 5)}, -1});
-    qs.push_back({prop::pBit(t.hit_stuck), {}, 0});
-
-    bmc::EngineConfig on;
-    on.bound = 8;
-    on.staticPrune = true;
-    on.staticFacts =
-        std::make_shared<const AbsFacts>(staticFacts(t.d, {t.fsm}));
-    bmc::EngineConfig off;
-    off.bound = 8;
-
-    exec::ExecConfig xc{1, 2};
-    exec::EnginePool with(t.d, on, xc);
-    exec::EnginePool without(t.d, off, xc);
-    auto ra = with.evalBatch(qs);
-    auto rb = without.evalBatch(qs);
-    ASSERT_EQ(ra.size(), rb.size());
-    for (size_t i = 0; i < ra.size(); i++)
-        EXPECT_EQ(ra[i].outcome, rb[i].outcome) << "query " << i;
-    exec::PoolStats ps = with.stats();
-    EXPECT_GE(ps.engine.staticPruned, 2u);
-    EXPECT_EQ(without.stats().engine.staticPruned, 0u);
-}
-
-TEST(StaticPrune, AuditedPrunesReproveWithZeroMismatches)
-{
-    FactsRig t;
-    bmc::EngineConfig cfg;
-    cfg.bound = 8;
-    cfg.staticPrune = true;
-    cfg.staticFacts =
-        std::make_shared<const AbsFacts>(staticFacts(t.d, {t.fsm}));
-    cfg.auditProof = true;
     cfg.auditReplay = true;
+    cfg.auditProof = true;
     bmc::Engine eng(t.d, cfg);
-    bmc::CoverResult r = eng.cover(prop::pEq(t.stuck, 5), {});
-    EXPECT_EQ(r.outcome, bmc::Outcome::Unreachable);
-    bmc::CoverResult r2 = eng.cover(prop::pEq(t.fsm, 3), {});
-    EXPECT_EQ(r2.outcome, bmc::Outcome::Unreachable);
-    // The solver independently re-proved both statically-pruned covers.
-    EXPECT_EQ(eng.stats().staticPruned, 2u);
+    // The stuck register unrolls to its reset constant, so its cover
+    // folds to false before any solver call (the trusted base).
+    bmc::CoverResult stuck = eng.cover(prop::pEq(t.stuck, 5), {});
+    EXPECT_EQ(stuck.outcome, bmc::Outcome::Unreachable);
+    EXPECT_FALSE(stuck.audit.mismatch) << stuck.audit.detail;
+    // The input-gated FSM does reach the solver: its UNSAT is DRAT-closed.
+    bmc::CoverResult dead = eng.cover(prop::pEq(t.fsm, 3), {});
+    EXPECT_EQ(dead.outcome, bmc::Outcome::Unreachable);
+    EXPECT_TRUE(dead.audit.proofChecked);
+    EXPECT_FALSE(dead.audit.mismatch) << dead.audit.detail;
+    bmc::CoverResult admitted = eng.cover(prop::pEq(t.ctr, 200), {});
+    EXPECT_EQ(admitted.outcome, bmc::Outcome::Reachable);
+    EXPECT_TRUE(admitted.audit.replayed);
     EXPECT_EQ(eng.stats().auditMismatches, 0u);
-}
-
-TEST(StaticPrune, Tiny3SynthesisIdenticalWithAndWithout)
-{
-    designs::Harness hx(designs::buildTiny3());
-    uhb::InstrId add = hx.duv().instrId("ADD");
-
-    r2m::SynthesisConfig on;
-    on.jobs = 1;
-    on.staticPrune = true;
-    r2m::MuPathSynthesizer a(hx, on);
-    uhb::InstrPaths pa = a.synthesize(add);
-
-    r2m::SynthesisConfig off = on;
-    off.staticPrune = false;
-    r2m::MuPathSynthesizer b(hx, off);
-    uhb::InstrPaths pb = b.synthesize(add);
-
-    EXPECT_EQ(report::renderInstrPaths(hx, pa),
-              report::renderInstrPaths(hx, pb));
-    EXPECT_EQ(report::renderDecisions(hx, pa),
-              report::renderDecisions(hx, pb));
 }
 
 // ------------------------------------------------- absint lint rules --

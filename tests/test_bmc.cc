@@ -172,6 +172,25 @@ TEST(Bmc, ContradictoryAssumesAreUnreachable)
               Outcome::Unreachable);
 }
 
+TEST(Bmc, ConstantFalseCoverLeavesTheSolverUntouched)
+{
+    // A cover that folds to constant false in the unrolling is
+    // Unreachable whatever the assumes say, so its input-dependent
+    // assumes are not encoded: the engine's SAT instance stays empty.
+    Design d("stuck");
+    Builder b(d);
+    Sig in = b.input("in", 4);
+    RegSig zero = b.regh("zero", 1, 0);
+    b.assign(zero, zero.q);
+    b.finalize();
+    EngineConfig cfg;
+    cfg.bound = 4;
+    Engine eng(d, cfg);
+    CoverResult r = eng.cover(pBit(zero.q.id), {pNot(pEq(in.id, 9))});
+    EXPECT_EQ(r.outcome, Outcome::Unreachable);
+    EXPECT_EQ(eng.coiStats().satVars, 0u);
+}
+
 TEST(Bmc, ArithmeticCoverFindsFactors)
 {
     // "Find x, y with x * y == 35": a tiny SAT-style query through the

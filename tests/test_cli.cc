@@ -104,6 +104,22 @@ TEST(Cli, UnknownDuvFailsNonZero)
     EXPECT_NE(r.output.find("unknown DUV"), std::string::npos);
 }
 
+TEST(Cli, UnknownInstructionExitsTwo)
+{
+    // A user-given instruction name is input, not an internal invariant:
+    // every command that takes one reports an unknown name and exits 2.
+    for (const char *cmd :
+         {"upaths tiny3 FOO", "leakage tiny3 FOO",
+          "leakage tiny3 ADD --tx FOO", "synth tiny3 --instrs FOO",
+          "contracts tiny3 --instrs FOO"}) {
+        RunResult r = run(cmd);
+        EXPECT_EQ(r.status, 2) << cmd << ": " << r.output;
+        EXPECT_NE(r.output.find("rmp: unknown instruction 'FOO' on tiny3"),
+                  std::string::npos)
+            << cmd << ": " << r.output;
+    }
+}
+
 TEST(Cli, HelpSucceeds)
 {
     RunResult r = run("help");

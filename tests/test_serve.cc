@@ -258,14 +258,18 @@ TEST(Serve, InstructionSubsetAndErrors)
     EXPECT_FALSE(badInstr.boolean_("ok", true));
     EXPECT_NE(badInstr.str("error").find("unknown instruction"),
               std::string::npos);
+
+    // Both bad requests count as errors, like every other error reply.
+    JsonValue st = ts.req(c, R"({"id":4,"op":"stats"})");
+    EXPECT_EQ(st.u64("errors"), 2u);
 }
 
 /**
  * Heavy requests are checked at dispatch: an unknown synth/prove option
- * (the removed "coi" included), an ill-typed or out-of-range value, or a
- * non-integral priority gets an error reply naming the key, counted in
- * stats.errors, instead of running as if the key were absent. The
- * daemon keeps serving afterwards.
+ * (the removed "coi" and "static_prune" included), an ill-typed or
+ * out-of-range value, or a non-integral priority gets an error reply
+ * naming the key, counted in stats.errors, instead of running as if the
+ * key were absent. The daemon keeps serving afterwards.
  */
 TEST(Serve, RejectsUnknownOrIllTypedOpts)
 {
@@ -281,6 +285,7 @@ TEST(Serve, RejectsUnknownOrIllTypedOpts)
     };
     const Bad bad[] = {
         {"synth", R"("opts":{"coi":true})", "coi"},
+        {"synth", R"("opts":{"static_prune":true})", "static_prune"},
         {"synth", R"("opts":{"no_such_opt":true})", "no_such_opt"},
         {"synth", R"("opts":{"budget":"x"})", "budget"},
         {"synth", R"("opts":{"budget":-5})", "budget"},
@@ -308,8 +313,8 @@ TEST(Serve, RejectsUnknownOrIllTypedOpts)
     JsonValue ok = ts.req(
         c, R"({"id":100,"op":"synth","duv":"tiny3","priority":-3,)"
            R"("opts":{"budget":20000,"closure":false,"counts":false,)"
-           R"("static_prune":true,"audit_replay":false,)"
-           R"("audit_proof":false,"render":false,"instrs":["ADD"]}})");
+           R"("audit_replay":false,"audit_proof":false,"render":false,)"
+           R"("instrs":["ADD"]}})");
     ASSERT_TRUE(ok.boolean_("ok")) << ok.str("error");
 
     JsonValue st = ts.req(c, R"({"id":101,"op":"stats"})");

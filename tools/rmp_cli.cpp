@@ -91,10 +91,6 @@ usage(std::FILE *f)
         "  --sim-threads N\n"
         "                 threads fanning compiled-simulation batches\n"
         "                 (default 4; results identical for every value)\n"
-        "  --static-prune / --no-static-prune\n"
-        "                 discharge covers the absint fixpoint proves\n"
-        "                 false without a solver call (default: on;\n"
-        "                 verdicts identical either way)\n"
         "  --check-verdicts[=replay|proof|all]\n"
         "                 trust-but-verify every BMC verdict (default:"
         " all):\n"
@@ -190,6 +186,20 @@ buildByName(const std::string &name)
     return std::move(*duc);
 }
 
+/** The instruction a user named on @p hx's DUV; an unknown name exits 2
+ *  like an unknown DUV (uhb::DuvInfo::instrId would panic). */
+uhb::InstrId
+instrByName(const Harness &hx, const std::string &name)
+{
+    std::optional<uhb::InstrId> id = hx.duv().findInstr(name);
+    if (!id) {
+        std::fprintf(stderr, "rmp: unknown instruction '%s' on %s\n",
+                     name.c_str(), hx.duv().name.c_str());
+        std::exit(2);
+    }
+    return *id;
+}
+
 std::vector<std::string>
 splitCsv(const std::string &s)
 {
@@ -207,7 +217,6 @@ struct CliOptions
     uint64_t budget = 20'000;
     bool closure = false;
     bool counts = false;
-    bool staticPrune = true;
     bool checkReplay = false;
     bool checkProof = false;
     bool json = false;
@@ -252,10 +261,6 @@ parseOptions(int argc, char **argv, int first)
             o.closure = true;
         else if (a == "--counts")
             o.counts = true;
-        else if (a == "--static-prune")
-            o.staticPrune = true;
-        else if (a == "--no-static-prune")
-            o.staticPrune = false;
         else if (a == "--check-verdicts" ||
                  a.rfind("--check-verdicts=", 0) == 0) {
             std::string mode =
@@ -339,7 +344,6 @@ synthConfig(const CliOptions &o)
     c.closureChecks = o.closure;
     c.revisitCounts = o.counts;
     c.jobs = o.jobs;
-    c.staticPrune = o.staticPrune;
     c.auditReplay = o.checkReplay;
     c.auditProof = o.checkProof;
     c.explore.lanes = o.simLanes;
@@ -413,18 +417,17 @@ cmdSynth(const std::string &duv, const CliOptions &o)
     // instruction boundary, the partial summary below still prints, and
     // main()'s --trace/--stats epilogues run before exit(128+sig).
     installInterruptHandlers();
-    std::unique_ptr<store::VerdictStore> store = makeStore(o);
     Harness hx(buildByName(duv));
+    std::vector<uhb::InstrId> ids;
+    for (const std::string &n : o.instrs)
+        ids.push_back(instrByName(hx, n));
+    if (ids.empty())
+        for (size_t i = 0; i < hx.duv().instrs.size(); i++)
+            ids.push_back(static_cast<uhb::InstrId>(i));
+    std::unique_ptr<store::VerdictStore> store = makeStore(o);
     r2m::SynthesisConfig cfg = synthConfig(o);
     cfg.store = store.get();
     r2m::MuPathSynthesizer synth(hx, cfg);
-    std::vector<std::string> names = o.instrs;
-    if (names.empty())
-        for (const auto &ins : hx.duv().instrs)
-            names.push_back(ins.name);
-    std::vector<uhb::InstrId> ids;
-    for (const auto &n : names)
-        ids.push_back(hx.duv().instrId(n));
     auto all = synth.synthesizeAll(ids);
     size_t paths = 0, decisions = 0, done = 0;
     for (uhb::InstrId i : ids) {
@@ -467,12 +470,13 @@ int
 cmdUpaths(const std::string &duv, const std::string &instr,
           const CliOptions &o)
 {
-    std::unique_ptr<store::VerdictStore> store = makeStore(o);
     Harness hx(buildByName(duv));
+    uhb::InstrId p = instrByName(hx, instr);
+    std::unique_ptr<store::VerdictStore> store = makeStore(o);
     r2m::SynthesisConfig scfg = synthConfig(o);
     scfg.store = store.get();
     r2m::MuPathSynthesizer synth(hx, scfg);
-    uhb::InstrPaths r = synth.synthesize(hx.duv().instrId(instr));
+    uhb::InstrPaths r = synth.synthesize(p);
     std::printf("%s\n", report::renderInstrPaths(hx, r).c_str());
     std::printf("%s", report::renderDecisions(hx, r).c_str());
     if (!o.dotDir.empty()) {
@@ -491,8 +495,7 @@ cmdUpaths(const std::string &duv, const std::string &instr,
         // exploration witness instead. Exploration traces are sparse
         // (watch-set only), so replay the witness inputs through the
         // full interpreted simulator to get every signal for the VCD.
-        r2m::SimFacts f = r2m::exploreSim(hx, hx.duv().instrId(instr),
-                                          synthConfig(o).explore);
+        r2m::SimFacts f = r2m::exploreSim(hx, p, synthConfig(o).explore);
         if (!f.sets.empty()) {
             const bmc::Witness &w = f.sets.begin()->second.witness;
             Simulator replay(hx.design());
@@ -513,27 +516,25 @@ int
 cmdLeakage(const std::string &duv, const std::string &instr,
            const CliOptions &o)
 {
-    std::unique_ptr<store::VerdictStore> store = makeStore(o);
     Harness hx(buildByName(duv));
+    uhb::InstrId p = instrByName(hx, instr);
+    std::vector<uhb::InstrId> tx;
+    for (const std::string &t : o.tx)
+        tx.push_back(instrByName(hx, t));
+    if (tx.empty())
+        tx.push_back(p);
+    std::unique_ptr<store::VerdictStore> store = makeStore(o);
     r2m::SynthesisConfig scfg = synthConfig(o);
     scfg.store = store.get();
     r2m::MuPathSynthesizer synth(hx, scfg);
     slc::SynthLcConfig lc;
     lc.budget.maxConflicts = o.budget;
     lc.jobs = o.jobs;
-    lc.staticPrune = o.staticPrune;
     lc.auditReplay = o.checkReplay;
     lc.auditProof = o.checkProof;
     lc.store = store.get();
     slc::SynthLc slc(hx, lc);
-    uhb::InstrId p = hx.duv().instrId(instr);
     uhb::InstrPaths r = synth.synthesize(p);
-    std::vector<uhb::InstrId> tx;
-    if (o.tx.empty())
-        tx.push_back(p);
-    else
-        for (const auto &t : o.tx)
-            tx.push_back(hx.duv().instrId(t));
     auto sigs = slc.analyze(p, r.decisions, tx);
     if (sigs.empty())
         std::printf("no leakage signatures for %s\n", instr.c_str());
@@ -550,31 +551,26 @@ cmdLeakage(const std::string &duv, const std::string &instr,
 int
 cmdContracts(const std::string &duv, const CliOptions &o)
 {
-    std::unique_ptr<store::VerdictStore> store = makeStore(o);
     Harness hx(buildByName(duv));
+    std::vector<uhb::InstrId> ids;
+    for (const std::string &n : o.instrs)
+        ids.push_back(instrByName(hx, n));
+    if (ids.empty())
+        for (size_t i = 0; i < hx.duv().instrs.size() && i < 5; i++)
+            ids.push_back(static_cast<uhb::InstrId>(i));
+    std::unique_ptr<store::VerdictStore> store = makeStore(o);
     r2m::SynthesisConfig scfg = synthConfig(o);
     scfg.store = store.get();
     r2m::MuPathSynthesizer synth(hx, scfg);
     slc::SynthLcConfig lc;
     lc.budget.maxConflicts = o.budget;
     lc.jobs = o.jobs;
-    lc.staticPrune = o.staticPrune;
     lc.auditReplay = o.checkReplay;
     lc.auditProof = o.checkProof;
     lc.store = store.get();
     slc::SynthLc slc(hx, lc);
-    std::vector<std::string> names = o.instrs;
-    if (names.empty()) {
-        for (const auto &ins : hx.duv().instrs)
-            names.push_back(ins.name);
-        if (names.size() > 5)
-            names.resize(5);
-    }
     ct::AnalysisDb db;
     db.hx = &hx;
-    std::vector<uhb::InstrId> ids;
-    for (const auto &n : names)
-        ids.push_back(hx.duv().instrId(n));
     // Cross-IUV parallel synthesis: simulation exploration and the
     // independent covers of every instruction go through the pool first.
     auto all = synth.synthesizeAll(ids);
@@ -622,7 +618,7 @@ duvNames(const std::string &duv)
 }
 
 /** The μFSM state variables — the control registers every absint
- *  consumer (pruning, lint, analyze) sharpens with fsmReachability. */
+ *  consumer (lint, analyze) sharpens with fsmReachability. */
 std::vector<SigId>
 controlRegsOf(const Harness &hx)
 {
@@ -692,8 +688,9 @@ cmdAnalyze(const std::string &duv, const CliOptions &o)
         const Design &d = hx.design();
         std::vector<SigId> ctrl = controlRegsOf(hx);
 
-        // The same fact set the synthesizer prunes with: global fixpoint
-        // sharpened by FSM successor enumeration on the control regs.
+        // Global fixpoint sharpened by FSM successor enumeration on the
+        // control regs, called in two steps to keep the per-register
+        // results.
         analysis::AbsFacts facts = analysis::absInterpret(d);
         std::vector<analysis::FsmReachResult> reach =
             analysis::fsmReachability(d, ctrl, facts);
@@ -892,8 +889,6 @@ cmdClient(const std::string &op, const std::string &duv,
         opts.put("budget", o.budget);
         if (o.counts)
             opts.putRaw("counts", "true");
-        if (!o.staticPrune)
-            opts.putRaw("static_prune", "false");
         if (o.checkReplay)
             opts.putRaw("audit_replay", "true");
         if (o.checkProof)
