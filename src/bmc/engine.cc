@@ -23,7 +23,7 @@ outcomeName(Outcome o)
 
 Engine::Engine(const Design &design, const EngineConfig &config)
     : d(design), cfg(config),
-      ctx_(design, config.auditProof, config.captureProof, config.queryLog)
+      ctx_(design, config.auditProof, config.captureProof)
 {
     rmp_assert(cfg.bound >= 1, "bound must be positive");
     ctx_.unrolling.ensureFrames(cfg.bound - 1);

@@ -188,14 +188,6 @@ struct EngineConfig
      * proportional to the trace, nothing when off.
      */
     bool captureProof = false;
-    /**
-     * Optional shared query log; every engine's solver appends its
-     * addClause()/solve() stream to it (sat::SatQueryLog). Used by
-     * bench_perf_sat to replay an entire synthesis run against the
-     * frozen pre-arena solver. Not owned; nullptr (the default) is
-     * free.
-     */
-    sat::SatQueryLog *queryLog = nullptr;
 };
 
 /** Aggregate query statistics (reported by bench_perf_properties). */
@@ -317,12 +309,9 @@ class Engine
          */
         std::vector<std::vector<sat::Lit>> failedCores;
 
-        Ctx(const Design &dd, bool audit_proof, bool capture_proof,
-            sat::SatQueryLog *qlog)
+        Ctx(const Design &dd, bool audit_proof, bool capture_proof)
             : unrolling(dd)
         {
-            if (qlog)
-                solver.attachQueryLog(qlog);
             if (audit_proof)
                 drat = std::make_unique<sat::DratChecker>();
             if (capture_proof)

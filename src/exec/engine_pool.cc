@@ -390,8 +390,6 @@ EnginePool::stats() const
         s.sat.savedTrailLits += st.savedTrailLits;
         s.sat.lbdSum += st.lbdSum;
         s.sat.glueClauses += st.glueClauses;
-        for (size_t i = 0; i < st.lbdHist.size(); i++)
-            s.sat.lbdHist[i] += st.lbdHist[i];
         const bmc::CoiStats ci = l.eng->coiStats();
         s.coi.aigNodes += ci.aigNodes;
         s.coi.satVars += ci.satVars;

@@ -596,7 +596,10 @@ exploreSim(const designs::Harness &hx, InstrId iuv,
     const WatchPlan plan = makeWatchPlan(hx);
     const unsigned lanes =
         std::clamp(cfg.lanes, 1U, sim::kMaxLanes);
-    const unsigned threads = std::max(cfg.threads, 1U);
+    // At most one thread per batch: a thread past the last batch would
+    // have nothing to do.
+    const unsigned threads =
+        std::clamp(cfg.threads, 1U, (cfg.runs + lanes - 1) / lanes);
     const bool compiled = cfg.engine == SimEngine::Compiled;
 
     obs::Span span("sim-explore", "sim");

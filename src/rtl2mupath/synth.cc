@@ -55,7 +55,6 @@ engineConfigFor(const designs::Harness &hx, const SynthesisConfig &config)
     ec.budget = config.budget;
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;
-    ec.queryLog = config.queryLog;
     return ec;
 }
 

@@ -95,10 +95,6 @@ struct SynthesisConfig
      *  Synthesized μPATHs are store-invariant: hits replay the identical
      *  verdicts the solver produced when the records were written. */
     store::VerdictStore *store = nullptr;
-    /** Solver query log shared by every engine lane (not owned;
-     *  bmc::EngineConfig::queryLog). bench_perf_sat records a whole
-     *  synthesis run through this and replays it offline. */
-    sat::SatQueryLog *queryLog = nullptr;
 };
 
 /** Statistics for one pipeline step (drives bench_perf_properties). */

@@ -33,16 +33,6 @@ Solver::newVar()
 }
 
 void
-Solver::attachQueryLog(SatQueryLog *log)
-{
-    qlog_ = log;
-    if (log) {
-        std::lock_guard<std::mutex> lk(log->mu);
-        qlogId_ = log->nextSolver++;
-    }
-}
-
-void
 Solver::heapInsert(Var v)
 {
     if (heapPos[v] >= 0)
@@ -144,13 +134,6 @@ Solver::setClauseActivity(ClauseRef c, float a)
 bool
 Solver::addClause(std::vector<Lit> lits)
 {
-    if (qlog_) {
-        std::lock_guard<std::mutex> lk(qlog_->mu);
-        SatQueryLog::Event &e = qlog_->events.emplace_back();
-        e.solver = qlogId_;
-        e.lits = lits;
-        e.numVars = static_cast<uint32_t>(numVars());
-    }
     if (!okay)
         return false;
     // The proof trace records the clause exactly as handed in; the
@@ -768,16 +751,6 @@ Solver::solve(const std::vector<Lit> &assumptions, const SatBudget &budget)
             .add(stats_.savedTrailLits - before.savedTrailLits);
     }
     lastAssumptions_ = assumptions;
-    if (qlog_) {
-        std::lock_guard<std::mutex> lk(qlog_->mu);
-        SatQueryLog::Event &e = qlog_->events.emplace_back();
-        e.solver = qlogId_;
-        e.isSolve = true;
-        e.lits = assumptions;
-        e.budget = budget;
-        e.result = static_cast<uint8_t>(r);
-        e.numVars = static_cast<uint32_t>(numVars());
-    }
     return r;
 }
 
@@ -857,7 +830,6 @@ Solver::solveLoop(const std::vector<Lit> &assumptions,
                 stats_.lbdSum += lbd;
                 if (lbd <= 2)
                     stats_.glueClauses++;
-                stats_.lbdHist[std::min<uint32_t>(lbd, 15)]++;
                 if (lbdHist_)
                     lbdHist_->record(lbd);
             }

@@ -17,10 +17,8 @@
 #ifndef SAT_SOLVER_HH
 #define SAT_SOLVER_HH
 
-#include <array>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
 #include <vector>
 
 namespace rmp::obs
@@ -125,41 +123,6 @@ struct SatStats
     uint64_t lbdSum = 0;
     /** Learned clauses with LBD <= 2 (glue; never deleted). */
     uint64_t glueClauses = 0;
-    /** LBD histogram; bucket i counts learned clauses with LBD == i
-     *  (bucket 15 collects everything >= 15). */
-    std::array<uint64_t, 16> lbdHist{};
-};
-
-/**
- * Optional append-only record of every addClause()/solve() a solver
- * executes, for offline replay (bench_perf_sat replays an entire `rmp
- * synth` query stream against the frozen pre-arena solver and this one
- * to measure the end-to-end speedup on identical work). Clause events
- * record the literals exactly as handed to addClause()
- * (pre-simplification), so a replay through a fresh solver reproduces
- * the original call sequence bit for bit. The mutex makes interleaved
- * multi-lane appends safe; per-solver event order is always exact.
- */
-struct SatQueryLog
-{
-    struct Event
-    {
-        uint32_t solver = 0; ///< per-log solver ordinal
-        bool isSolve = false;
-        std::vector<Lit> lits; ///< clause literals, or assumptions
-        SatBudget budget;      ///< solve events only
-        uint8_t result = 0;    ///< SatResult of the original solve
-        /** Solver's variable count at the event. A replay must grow its
-         *  var universe to this (in id order) before applying the
-         *  event: the decision heap covers every variable, so the var
-         *  count — not just the vars mentioned in clauses — shapes the
-         *  search and hence where a budget cuts. */
-        uint32_t numVars = 0;
-    };
-
-    std::mutex mu;
-    std::vector<Event> events;
-    uint32_t nextSolver = 0;
 };
 
 /**
@@ -239,14 +202,6 @@ class Solver
      * the solver never takes ownership.
      */
     void setProofSink(ProofSink *sink) { proof = sink; }
-
-    /**
-     * Attach a query log (nullptr to detach); every subsequent
-     * addClause()/solve() appends an event. The solver never takes
-     * ownership. Install before the first addClause() for the replay to
-     * cover the whole formula.
-     */
-    void attachQueryLog(SatQueryLog *log);
 
     /** Statistics accumulated across all solve() calls. */
     const SatStats &stats() const { return stats_; }
@@ -373,8 +328,6 @@ class Solver
     std::vector<Lit> model;
     std::vector<Lit> failed_;
     ProofSink *proof = nullptr;
-    SatQueryLog *qlog_ = nullptr;
-    uint32_t qlogId_ = 0;
 };
 
 } // namespace rmp::sat

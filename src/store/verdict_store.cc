@@ -837,13 +837,20 @@ VerdictStore::gc(const GcPolicy &policy)
               });
     std::vector<char> gone(live.size(), 0);
     if (policy.maxAgeSeconds) {
-        auto cutoff = fs::file_time_type::clock::now() -
-                      std::chrono::seconds(policy.maxAgeSeconds);
-        for (size_t i = 0; i < live.size(); i++)
-            if (live[i].mtime < cutoff) {
+        // Compare ages, not times: a cutoff of now - maxAge overflows
+        // the nanosecond file clock for limits of ~145 years and up,
+        // and the wrapped cutoff would age out every record.
+        auto now = fs::file_time_type::clock::now();
+        for (size_t i = 0; i < live.size(); i++) {
+            auto age = std::chrono::duration_cast<std::chrono::seconds>(
+                           now - live[i].mtime)
+                           .count();
+            if (age > 0 &&
+                static_cast<uint64_t>(age) > policy.maxAgeSeconds) {
                 evict(live[i]);
                 gone[i] = 1;
             }
+        }
     }
     if (policy.maxBytes) {
         // Oldest-first until the budget holds; newest survivors keep

@@ -205,11 +205,15 @@ TEST(Cli, MalformedNumericFlagFailsWithUsage)
     // Every numeric option goes through one checked parser: garbage,
     // trailing junk, an empty value, a sign on an unsigned option and an
     // out-of-range value all exit 2 with the usage text naming the flag,
-    // never abort on an uncaught exception or truncate silently.
+    // never abort on an uncaught exception or truncate silently. A
+    // thread count past 1024 is out of range before any thread starts,
+    // and so is an age whose seconds overflow uint64_t.
     for (const char *bad :
          {"--jobs abc", "--budget x", "--workers ''", "--sim-threads 1z",
           "--timeout 99999999999", "--max-queue -1", "--priority 1.5",
-          "--max-bytes ' 7'", "--max-age-days 18446744073709551616"}) {
+          "--max-bytes ' 7'", "--max-age-days 18446744073709551616",
+          "--max-age-days 213503982334602", "--jobs 1025",
+          "--sim-threads 1025", "--workers 1025", "--timeout -5"}) {
         RunResult r = run(std::string("bugs tiny3 ") + bad);
         EXPECT_EQ(r.status, 2) << bad << ": " << r.output;
         EXPECT_TRUE(mentionsUsage(r.output)) << bad << ": " << r.output;
@@ -217,8 +221,10 @@ TEST(Cli, MalformedNumericFlagFailsWithUsage)
         EXPECT_NE(r.output.find("invalid " + flag), std::string::npos)
             << bad << ": " << r.output;
     }
-    // In-range values still parse, including a negative priority.
-    RunResult ok = run("bugs tiny3 --jobs 2 --sim-threads 1 --priority -3");
+    // In-range values still parse, including a negative priority and
+    // the inclusive ends of the --timeout and --max-age-days ranges.
+    RunResult ok = run("bugs tiny3 --jobs 2 --sim-threads 1 --priority -3"
+                       " --timeout 0 --max-age-days 213503982334601");
     EXPECT_EQ(ok.status, 0) << ok.output;
 }
 

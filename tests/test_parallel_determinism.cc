@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -29,12 +30,49 @@ using namespace rmp::uhb;
 namespace
 {
 
+/** Solver work summed over a flow's two pools (synthesizer, SynthLC). */
+struct SatWork
+{
+    uint64_t conflicts = 0;
+    uint64_t decisions = 0;
+    uint64_t propagations = 0;
+    uint64_t learnedClauses = 0;
+    uint64_t dbReductions = 0;
+    uint64_t gcPasses = 0;
+    uint64_t savedTrailLits = 0;
+
+    void
+    add(const sat::SatStats &s)
+    {
+        conflicts += s.conflicts;
+        decisions += s.decisions;
+        propagations += s.propagations;
+        learnedClauses += s.learnedClauses;
+        dbReductions += s.dbReductions;
+        gcPasses += s.gcPasses;
+        savedTrailLits += s.savedTrailLits;
+    }
+
+    bool operator==(const SatWork &) const = default;
+};
+
+void
+PrintTo(const SatWork &w, std::ostream *os)
+{
+    *os << "{conflicts " << w.conflicts << ", decisions " << w.decisions
+        << ", propagations " << w.propagations << ", learned "
+        << w.learnedClauses << ", reductions " << w.dbReductions
+        << ", gc " << w.gcPasses << ", saved trail " << w.savedTrailLits
+        << "}";
+}
+
 /** Canonical rendering of one full flow run (order-stable by design). */
 struct FlowResult
 {
     std::string paths;       ///< every IUV's μPATHs + decisions, rendered
     std::string signatures;  ///< sorted SynthLC signature renderings
     std::vector<uint64_t> tallies; ///< per-step (q, r, u, undet) tuples
+    SatWork sat;             ///< solver work of the whole flow
 };
 
 FlowResult
@@ -78,6 +116,8 @@ runFlow(bool zeroSkip, unsigned jobs, bool closure)
     out.tallies.push_back(slc.stats().unreachable);
     out.tallies.push_back(slc.stats().undetermined);
     out.tallies.push_back(slc.stats().simHits);
+    out.sat.add(synth.pool().stats().sat);
+    out.sat.add(slc.pool().stats().sat);
     return out;
 }
 
@@ -104,6 +144,13 @@ TEST(ParallelDeterminism, Tiny3ClosureFlowIsJobsInvariant)
     EXPECT_EQ(serial.tallies, threaded.tallies);
     // The zero-skip core leaks: signatures must actually exist here.
     EXPECT_FALSE(serial.signatures.empty());
+    // Every lane's incremental query stream, budgets included, replays
+    // to the same search: the solvers do identical work at both job
+    // counts. The stream is long enough to cross the learned-DB limit
+    // and compact the arena, so reduction and GC are replayed too.
+    EXPECT_EQ(serial.sat, threaded.sat);
+    EXPECT_GT(serial.sat.dbReductions, 0u);
+    EXPECT_GT(serial.sat.gcPasses, 0u);
 }
 
 TEST(ParallelDeterminism, QueryCacheHitsAreNonZeroOnFullSynthesis)

@@ -424,24 +424,3 @@ TEST(Sat, SharedAssumptionPrefixReusesTrail)
     // The warm solver actually exercised the trail-saving path.
     EXPECT_GT(warm.stats().savedTrailLits, 0u);
 }
-
-TEST(Sat, QueryLogRecordsAllTraffic)
-{
-    SatQueryLog log;
-    Solver s;
-    s.attachQueryLog(&log);
-    Var a = s.newVar(), b = s.newVar();
-    s.addClause(pos(a), pos(b));
-    ASSERT_EQ(s.solve({neg(a)}), SatResult::Sat);
-    ASSERT_EQ(s.solve({neg(a), neg(b)}), SatResult::Unsat);
-    ASSERT_EQ(log.events.size(), 3u);
-    EXPECT_FALSE(log.events[0].isSolve);
-    EXPECT_EQ(log.events[0].lits.size(), 2u);
-    EXPECT_TRUE(log.events[1].isSolve);
-    EXPECT_EQ(log.events[1].result,
-              static_cast<uint8_t>(SatResult::Sat));
-    EXPECT_TRUE(log.events[2].isSolve);
-    EXPECT_EQ(log.events[2].result,
-              static_cast<uint8_t>(SatResult::Unsat));
-    EXPECT_EQ(log.events[2].lits.size(), 2u);
-}

@@ -15,6 +15,7 @@
 #include <unistd.h>
 
 #include <chrono>
+#include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -324,6 +325,16 @@ TEST(VerdictStore, GcPolicyEvictsByAgeAndSize)
                 st.recordPath(static_cast<uint64_t>(k), 99),
                 fs::file_time_type::clock::now() -
                     std::chrono::hours(24 * 30));
+        // Limits past the file clock's range keep everything: a limit
+        // is compared with each record's age, never turned into a
+        // cutoff time that could wrap into the future.
+        for (uint64_t huge : {uint64_t{54'000} * 86'400, UINT64_MAX}) {
+            GcPolicy keepAll;
+            keepAll.maxAgeSeconds = huge;
+            GcSummary g0 = st.gc(keepAll);
+            EXPECT_EQ(g0.evictedRecords, 0u) << huge;
+            EXPECT_EQ(g0.liveRecords, 8u) << huge;
+        }
         GcPolicy oldOnly;
         oldOnly.maxAgeSeconds = 7 * 86'400;
         GcSummary g1 = st.gc(oldOnly);

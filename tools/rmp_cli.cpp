@@ -40,6 +40,16 @@ using namespace rmp::designs;
 namespace
 {
 
+/** Upper bound of every thread-count flag (--jobs, --sim-threads,
+ *  --workers). Each value becomes that many OS threads, so a typo must
+ *  fail at parse time instead of asking the OS for 100 000 threads. */
+constexpr unsigned kMaxThreads = 1024;
+
+/** Upper bound of --max-age-days: the largest D whose D * 86 400
+ *  seconds still fits the store's uint64_t age limit. */
+constexpr uint64_t kMaxAgeDays = std::numeric_limits<uint64_t>::max() /
+                                 86'400;
+
 void
 usage(std::FILE *f)
 {
@@ -81,8 +91,8 @@ usage(std::FILE *f)
         "  --closure      run the full BMC closure queries (slow, formal)\n"
         "  --counts       enumerate revisit cycle counts (mode (i))\n"
         "  --jobs N       worker threads for property evaluation\n"
-        "                 (default: hardware concurrency; verdicts are\n"
-        "                 identical for every value)\n"
+        "                 (0 to %u; default 0: hardware concurrency;\n"
+        "                 verdicts are identical for every value)\n"
         "  --sim-lanes N  SoA lanes per compiled-simulation batch\n"
         "                 (supported widths: 1-16, rounded up to a power\n"
         "                 of two; default 8; from 4 lanes up the kernel\n"
@@ -90,7 +100,8 @@ usage(std::FILE *f)
         "                 for every value)\n"
         "  --sim-threads N\n"
         "                 threads fanning compiled-simulation batches\n"
-        "                 (default 4; results identical for every value)\n"
+        "                 (0 to %u; default 4; results identical for\n"
+        "                 every value)\n"
         "  --check-verdicts[=replay|proof|all]\n"
         "                 trust-but-verify every BMC verdict (default:"
         " all):\n"
@@ -113,19 +124,22 @@ usage(std::FILE *f)
         "  --workers N    daemon job workers; requests are hashed to a\n"
         "                 worker by (DUV, config) so repeated keys stay\n"
         "                 byte-identical while distinct keys run\n"
-        "                 concurrently (default: hardware concurrency)\n"
+        "                 concurrently (0 to %u; default 0: hardware\n"
+        "                 concurrency)\n"
         "  --max-queue N  per-worker daemon queue bound before"
         " backpressure\n"
         "                 (default 64)\n"
         "  --no-store     daemon: do not attach the verdict store\n"
         "  --priority N   client: job priority (higher runs first)\n"
-        "  --timeout MS   client: per-read response timeout\n"
+        "  --timeout MS   client: per-read response timeout (MS >= 0;\n"
+        "                 default: wait forever)\n"
         "  --follow       client: request streaming progress events and\n"
         "                 print them to stderr as they arrive\n"
         "  --max-bytes N  store gc: evict oldest records until the live\n"
         "                 footprint fits in N bytes\n"
         "  --max-age-days D\n"
         "                 store gc: evict records older than D days\n"
+        "                 (0 to %llu; default 0: no age limit)\n"
         "  --tx A,B,...   transmitter instructions (leakage)\n"
         "  --instrs A,... instruction subset (synth, contracts)\n"
         "  --dot DIR      write one Graphviz file per synthesized uPATH\n"
@@ -135,7 +149,9 @@ usage(std::FILE *f)
         "  --stats        print run metrics after the command; with\n"
         "                 --json, emit the machine-readable run summary\n"
         "  --progress     live progress line on stderr\n"
-        "  --json         machine-readable output (lint, --stats)\n");
+        "  --json         machine-readable output (lint, --stats)\n",
+        kMaxThreads, kMaxThreads, kMaxThreads,
+        static_cast<unsigned long long>(kMaxAgeDays));
 }
 
 [[noreturn]] void
@@ -282,7 +298,8 @@ parseOptions(int argc, char **argv, int first)
         else if (a == "--progress")
             o.progress = true;
         else if (a == "--jobs")
-            o.jobs = parseNumber<unsigned>("--jobs", need("--jobs"));
+            o.jobs = parseNumber<unsigned>("--jobs", need("--jobs"), 0,
+                                           kMaxThreads);
         else if (a == "--sim-lanes")
             // BatchSim asserts on bad lane counts, which is a crash, not
             // a diagnostic.
@@ -290,8 +307,8 @@ parseOptions(int argc, char **argv, int first)
                 "--sim-lanes", need("--sim-lanes"), 1, sim::kMaxLanes,
                 "widths");
         else if (a == "--sim-threads")
-            o.simThreads =
-                parseNumber<unsigned>("--sim-threads", need("--sim-threads"));
+            o.simThreads = parseNumber<unsigned>(
+                "--sim-threads", need("--sim-threads"), 0, kMaxThreads);
         else if (a == "--store")
             o.store = true;
         else if (a == "--store-root")
@@ -301,7 +318,8 @@ parseOptions(int argc, char **argv, int first)
         else if (a == "--socket")
             o.socket = need("--socket");
         else if (a == "--workers")
-            o.workers = parseNumber<unsigned>("--workers", need("--workers"));
+            o.workers = parseNumber<unsigned>("--workers", need("--workers"),
+                                              0, kMaxThreads);
         else if (a == "--max-queue")
             o.maxQueue =
                 parseNumber<unsigned>("--max-queue", need("--max-queue"));
@@ -311,15 +329,16 @@ parseOptions(int argc, char **argv, int first)
             o.gcMaxBytes =
                 parseNumber<uint64_t>("--max-bytes", need("--max-bytes"));
         else if (a == "--max-age-days")
-            o.gcMaxAgeDays = parseNumber<uint64_t>("--max-age-days",
-                                                   need("--max-age-days"));
+            o.gcMaxAgeDays = parseNumber<uint64_t>(
+                "--max-age-days", need("--max-age-days"), 0, kMaxAgeDays);
         else if (a == "--no-store")
             o.noStore = true;
         else if (a == "--priority")
             o.priority =
                 parseNumber<int64_t>("--priority", need("--priority"));
         else if (a == "--timeout")
-            o.timeoutMs = parseNumber<int>("--timeout", need("--timeout"));
+            o.timeoutMs =
+                parseNumber<int>("--timeout", need("--timeout"), 0);
         else if (a == "--dot")
             o.dotDir = need("--dot");
         else if (a == "--vcd")
