@@ -48,8 +48,7 @@ BM_UnrollFrame(benchmark::State &state)
 {
     const Harness &hx = mcvaHarness();
     for (auto _ : state) {
-        bmc::Unrolling u(hx.design());
-        u.ensureFrames(static_cast<unsigned>(state.range(0)) - 1);
+        bmc::Unrolling u(hx.design(), static_cast<unsigned>(state.range(0)));
         benchmark::DoNotOptimize(u.aig().numAnds());
     }
 }

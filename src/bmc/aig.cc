@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "common/logging.hh"
+
 namespace rmp::bmc
 {
 
@@ -10,13 +12,20 @@ Aig::Aig()
     nodes.emplace_back(); // node 0: constant false
 }
 
+Aig::Aig(const Aig *b)
+    : base(b), baseN(static_cast<uint32_t>(b->numNodes())),
+      baseAnds(b->numAnds())
+{
+    rmp_assert(!b->base, "an AIG overlay needs a base that owns its nodes");
+}
+
 AigLit
 Aig::addInput()
 {
     Node n;
     n.isInput = true;
     nodes.push_back(n);
-    return static_cast<AigLit>((nodes.size() - 1) * 2);
+    return static_cast<AigLit>((numNodes() - 1) * 2);
 }
 
 AigLit
@@ -34,6 +43,13 @@ Aig::mkAnd(AigLit a, AigLit b)
     if (a == aigNot(b))
         return kFalse;
     Key key{a, b};
+    // b > a, so both fanins are base nodes iff b's is. Only such a pair
+    // can be in the base's hash.
+    if (aigNode(b) < baseN) {
+        auto it = base->strash.find(key);
+        if (it != base->strash.end())
+            return it->second;
+    }
     auto it = strash.find(key);
     if (it != strash.end())
         return it->second;
@@ -42,7 +58,7 @@ Aig::mkAnd(AigLit a, AigLit b)
     n.b = b;
     nodes.push_back(n);
     andCount++;
-    AigLit lit = static_cast<AigLit>((nodes.size() - 1) * 2);
+    AigLit lit = static_cast<AigLit>((numNodes() - 1) * 2);
     strash.emplace(key, lit);
     return lit;
 }

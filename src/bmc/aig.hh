@@ -32,11 +32,26 @@ inline AigLit aigNot(AigLit l) { return l ^ 1; }
 inline uint32_t aigNode(AigLit l) { return l >> 1; }
 inline bool aigSign(AigLit l) { return l & 1; }
 
-/** The graph: node 0 = const false, others are inputs or AND gates. */
+/**
+ * The graph: node 0 = const false, others are inputs or AND gates.
+ *
+ * An *overlay* extends a frozen base graph without copying it: it reads
+ * the base's nodes, adds its own after them (ids base.numNodes(), +1,
+ * ...) and looks a new AND up in the base's structural hash before its
+ * own. So a sequence of calls on an overlay returns exactly the literals
+ * the same calls would on a private copy of the base, and any number of
+ * overlays may share one base across threads (they only read it).
+ */
 class Aig
 {
   public:
     Aig();
+
+    /**
+     * An overlay over @p base, which must outlive this graph and never
+     * grow again. @p base must not itself be an overlay.
+     */
+    explicit Aig(const Aig *base);
 
     /** Create a primary input; returns its (positive) literal. */
     AigLit addInput();
@@ -55,14 +70,15 @@ class Aig
     AigLit mkOrN(const std::vector<AigLit> &ls);
 
     /** True iff node @p n is a primary input. */
-    bool isInput(uint32_t n) const { return nodes[n].isInput; }
+    bool isInput(uint32_t n) const { return node(n).isInput; }
 
     /** Fan-ins of AND node @p n. */
-    AigLit fanin0(uint32_t n) const { return nodes[n].a; }
-    AigLit fanin1(uint32_t n) const { return nodes[n].b; }
+    AigLit fanin0(uint32_t n) const { return node(n).a; }
+    AigLit fanin1(uint32_t n) const { return node(n).b; }
 
-    size_t numNodes() const { return nodes.size(); }
-    size_t numAnds() const { return andCount; }
+    /** Nodes and AND gates, the base's included. */
+    size_t numNodes() const { return baseN + nodes.size(); }
+    size_t numAnds() const { return baseAnds + andCount; }
 
   private:
     struct Node
@@ -70,6 +86,12 @@ class Aig
         AigLit a = 0, b = 0;
         bool isInput = false;
     };
+
+    const Node &
+    node(uint32_t n) const
+    {
+        return n < baseN ? base->nodes[n] : nodes[n - baseN];
+    }
 
     struct Key
     {
@@ -85,6 +107,12 @@ class Aig
         }
     };
 
+    /** The frozen base of an overlay (nullptr: none). */
+    const Aig *base = nullptr;
+    /** Node and AND counts of the base (0: none). */
+    uint32_t baseN = 0;
+    size_t baseAnds = 0;
+    /** This graph's own nodes: node baseN + i is nodes[i]. */
     std::vector<Node> nodes;
     std::unordered_map<Key, AigLit, KeyHash> strash;
     size_t andCount = 0;

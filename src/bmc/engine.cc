@@ -21,12 +21,19 @@ outcomeName(Outcome o)
     return "?";
 }
 
-Engine::Engine(const Design &design, const EngineConfig &config)
-    : d(design), cfg(config),
-      ctx_(design, config.auditProof, config.captureProof)
+Engine::Engine(std::shared_ptr<const Unrolling> unrolling,
+               const EngineConfig &config)
+    : d(unrolling->design()), cfg(config),
+      ctx_(std::move(unrolling), config.auditProof, config.captureProof)
 {
-    rmp_assert(cfg.bound >= 1, "bound must be positive");
-    ctx_.unrolling.ensureFrames(cfg.bound - 1);
+    rmp_assert(ctx_.unrolling->numFrames() == cfg.bound,
+               "unrolling has %u frames, engine bound is %u",
+               ctx_.unrolling->numFrames(), cfg.bound);
+}
+
+Engine::Engine(const Design &design, const EngineConfig &config)
+    : Engine(std::make_shared<const Unrolling>(design, config.bound), config)
+{
 }
 
 sat::Lit
@@ -35,7 +42,7 @@ Engine::satLit(AigLit lit)
     // Iteratively Tseitin-encode the cone under `lit`.
     sat::Solver &solver = ctx_.solver;
     std::vector<int32_t> &nodeVar = ctx_.nodeVar;
-    const Aig &g = ctx_.unrolling.aig();
+    const Aig &g = ctx_.overlay;
     uint32_t root = aigNode(lit);
     if (nodeVar.size() < g.numNodes())
         nodeVar.resize(g.numNodes(), -1);
@@ -125,17 +132,16 @@ Engine::run(const prop::ExprRef &seq,
     obs::Span span("bmc-cover", "bmc");
     auto t0 = std::chrono::steady_clock::now();
 
-    Unrolling &unrolling = ctx_.unrolling;
-    Aig &g = unrolling.aig();
+    const Unrolling &unrolling = *ctx_.unrolling;
+    Aig &g = ctx_.overlay;
 
     // Cover literal: OR over permitted start frames.
     std::vector<AigLit> starts;
     if (fixed_frame >= 0) {
-        starts.push_back(
-            prop::compile(seq, unrolling, fixed_frame, cfg.bound));
+        starts.push_back(prop::compile(seq, unrolling, g, fixed_frame));
     } else {
         for (unsigned t = 0; t < cfg.bound; t++)
-            starts.push_back(prop::compile(seq, unrolling, t, cfg.bound));
+            starts.push_back(prop::compile(seq, unrolling, g, t));
     }
     AigLit cover_lit = g.mkOrN(starts);
 
@@ -149,7 +155,7 @@ Engine::run(const prop::ExprRef &seq,
             break;
         unsigned last = cfg.bound > a->depth() ? cfg.bound - a->depth() : 1;
         for (unsigned t = 0; t < last && !vacuous; t++) {
-            AigLit l = prop::compile(a, unrolling, t, cfg.bound);
+            AigLit l = prop::compile(a, unrolling, g, t);
             if (l == kTrue)
                 continue;
             if (l == kFalse) {
@@ -308,7 +314,7 @@ Engine::run(const prop::ExprRef &seq,
 CoiStats
 Engine::coiStats() const
 {
-    return CoiStats{ctx_.unrolling.aig().numNodes(),
+    return CoiStats{ctx_.overlay.numNodes(),
                     static_cast<uint64_t>(ctx_.solver.numVars())};
 }
 
@@ -360,7 +366,7 @@ Engine::extractWitness(const prop::ExprRef &seq,
             uint64_t val = 0;
             unsigned width = d.cell(in).width;
             for (unsigned bit = 0; bit < width; bit++) {
-                AigLit l = ctx_.unrolling.inputLit(t, in, bit);
+                AigLit l = ctx_.unrolling->inputLit(t, in, bit);
                 uint32_t n = aigNode(l);
                 bool v = false;
                 if (n < ctx_.nodeVar.size() && ctx_.nodeVar[n] >= 0)

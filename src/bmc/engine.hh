@@ -3,10 +3,11 @@
  * The bounded model-checking engine: the reproduction's stand-in for the
  * paper's JasperGold runs.
  *
- * Evaluates cover properties subject to always-assumes over a shared
- * incremental unrolling: one CNF per (design, bound) reused across the
- * thousands of template-instantiated queries RTL2MμPATH and SynthLC issue,
- * with per-query SAT assumptions. Outcomes follow the paper exactly:
+ * Evaluates cover properties subject to always-assumes over one frozen
+ * unrolling of the design: one incremental CNF per engine, reused across
+ * the thousands of template-instantiated queries from RTL2MμPATH and
+ * SynthLC, with per-query SAT assumptions. Outcomes follow the paper
+ * exactly:
  *
  *  - Reachable: a witness trace exists (extracted, and independently
  *    re-validated on the rtlir simulator before being reported);
@@ -222,7 +223,7 @@ struct EngineStats
  */
 struct CoiStats
 {
-    /** AIG nodes of the unrolling. */
+    /** AIG nodes the engine sees: the unrolling's plus its overlay's. */
     uint64_t aigNodes = 0;
     /** SAT variables of the solver. */
     uint64_t satVars = 0;
@@ -231,12 +232,23 @@ struct CoiStats
 /**
  * Incremental cover/assume evaluator over one design.
  *
- * Every query shares one full-design unrolled CNF and its solver's
- * learned clauses; per-query constraints enter as SAT assumptions only.
+ * The full-design unrolling is frozen and may be shared by several
+ * engines, such as the lanes of an exec::EnginePool. Each engine owns
+ * what its query history builds: its solver, the Tseitin map from AIG
+ * nodes to its variables, its failed-assumption cores, and an overlay
+ * AIG holding the property logic its queries compile. Overlay nodes are
+ * numbered after the unrolling's, so an engine's variables, verdicts and
+ * witnesses are the same whether its unrolling is shared or private.
+ * Every query on an engine shares its CNF and learned clauses;
+ * per-query constraints enter as SAT assumptions only.
  */
 class Engine
 {
   public:
+    /** An engine over @p unrolling, which has config.bound frames. */
+    Engine(std::shared_ptr<const Unrolling> unrolling,
+           const EngineConfig &config);
+    /** An engine over a private unrolling of @p design. */
     Engine(const Design &design, const EngineConfig &config);
 
     /**
@@ -284,10 +296,13 @@ class Engine
     const EngineConfig &config() const { return cfg; }
 
   private:
-    /** The unrolled instance and its solver state. */
+    /** The unrolled instance and this engine's solver state over it. */
     struct Ctx
     {
-        Unrolling unrolling;
+        /** The frozen design frames, possibly shared with other engines. */
+        std::shared_ptr<const Unrolling> unrolling;
+        /** Property logic compiled by this engine's queries. */
+        Aig overlay;
         sat::Solver solver;
         /** Live proof checker (auditProof only); attached to the solver
          *  before the first clause so the trace covers the formula. */
@@ -309,8 +324,9 @@ class Engine
          */
         std::vector<std::vector<sat::Lit>> failedCores;
 
-        Ctx(const Design &dd, bool audit_proof, bool capture_proof)
-            : unrolling(dd)
+        Ctx(std::shared_ptr<const Unrolling> base, bool audit_proof,
+            bool capture_proof)
+            : unrolling(std::move(base)), overlay(&unrolling->aig())
         {
             if (audit_proof)
                 drat = std::make_unique<sat::DratChecker>();

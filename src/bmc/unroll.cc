@@ -7,10 +7,12 @@
 namespace rmp::bmc
 {
 
-void
-Unrolling::ensureFrames(unsigned t)
+Unrolling::Unrolling(const Design &design, unsigned bound) : d(design)
 {
-    while (frames.size() <= t) {
+    rmp_assert(bound >= 1, "bound must be positive");
+    frames.reserve(bound);
+    inputWords.reserve(bound);
+    while (frames.size() < bound) {
         if (!obs::enabled()) {
             buildFrame();
             continue;
@@ -29,14 +31,14 @@ Unrolling::ensureFrames(unsigned t)
 }
 
 const Word &
-Unrolling::sig(unsigned t, SigId id)
+Unrolling::sig(unsigned t, SigId id) const
 {
-    ensureFrames(t);
+    rmp_assert(t < frames.size(), "frame %u beyond the unrolling", t);
     return frames[t][id];
 }
 
 AigLit
-Unrolling::sigBit(unsigned t, SigId id, unsigned bit)
+Unrolling::sigBit(unsigned t, SigId id, unsigned bit) const
 {
     const Word &w = sig(t, id);
     rmp_assert(bit < w.size(), "sigBit out of range");
@@ -46,7 +48,7 @@ Unrolling::sigBit(unsigned t, SigId id, unsigned bit)
 AigLit
 Unrolling::inputLit(unsigned t, SigId id, unsigned bit) const
 {
-    rmp_assert(t < frames.size(), "frame not materialized");
+    rmp_assert(t < frames.size(), "frame %u beyond the unrolling", t);
     for (size_t i = 0; i < d.inputs().size(); i++)
         if (d.inputs()[i] == id)
             return inputWords[t][i][bit];
@@ -54,7 +56,8 @@ Unrolling::inputLit(unsigned t, SigId id, unsigned bit) const
 }
 
 AigLit
-Unrolling::sigEqConst(unsigned t, SigId id, uint64_t value)
+Unrolling::sigEqConst(Aig &overlay, unsigned t, SigId id,
+                      uint64_t value) const
 {
     const Word &w = sig(t, id);
     std::vector<AigLit> bits;
@@ -63,7 +66,7 @@ Unrolling::sigEqConst(unsigned t, SigId id, uint64_t value)
         bool bit = (value >> i) & 1;
         bits.push_back(bit ? w[i] : aigNot(w[i]));
     }
-    return g.mkAndN(bits);
+    return overlay.mkAndN(bits);
 }
 
 namespace

@@ -7,6 +7,11 @@
  * values. Inputs are fresh AIG inputs per frame, which is exactly the
  * paper's setup of driving issued instructions at the IFR with the model
  * checker (§VI) — constraints on those inputs come from assume properties.
+ *
+ * An unrolling is built whole, for a fixed number of frames, and is
+ * read-only afterwards, so one copy serves every engine lane of a pool
+ * (DESIGN.md §3d). Property logic never enters it: each engine compiles
+ * its queries into its own overlay of aig().
  */
 
 #ifndef BMC_UNROLL_HH
@@ -24,39 +29,45 @@ namespace rmp::bmc
 using Word = std::vector<AigLit>;
 
 /**
- * Lazily bit-blasts frames of a Design into one shared AIG.
+ * The design bit-blasted over frames 0..bound-1 into one AIG.
  *
- * frame(t) materializes frames 0..t. sig(t, id) returns the literals of
- * signal @p id during cycle t. inputVar(t, id, bit) exposes the AIG input
- * node index backing an Input cell bit, for witness extraction. Every
- * cell of the design is bit-blasted in every frame.
+ * sig(t, id) returns the literals of signal @p id during cycle t.
+ * inputLit(t, id, bit) exposes the AIG input literal backing an Input
+ * cell bit, for witness extraction. Every cell of the design is
+ * bit-blasted in every frame. Overlays of aig() hold the address of this
+ * object's graph, so it is neither copied nor moved.
  */
 class Unrolling
 {
   public:
-    explicit Unrolling(const Design &design) : d(design) {}
+    /** Bit-blast frames 0..@p bound - 1 of @p design (@p bound >= 1). */
+    Unrolling(const Design &design, unsigned bound);
+
+    Unrolling(const Unrolling &) = delete;
+    Unrolling &operator=(const Unrolling &) = delete;
 
     const Design &design() const { return d; }
-    Aig &aig() { return g; }
+    /** The frozen graph of every frame; the base of engine overlays. */
     const Aig &aig() const { return g; }
 
-    /** Ensure frames 0..t exist. */
-    void ensureFrames(unsigned t);
-
-    /** Number of materialized frames. */
+    /** Number of frames (the bound it was built for). */
     unsigned numFrames() const { return static_cast<unsigned>(frames.size()); }
 
-    /** Literals of signal @p id at frame @p t (materializes frames). */
-    const Word &sig(unsigned t, SigId id);
+    /** Literals of signal @p id at frame @p t < numFrames(). */
+    const Word &sig(unsigned t, SigId id) const;
 
     /** Single bit of a signal at a frame. */
-    AigLit sigBit(unsigned t, SigId id, unsigned bit);
+    AigLit sigBit(unsigned t, SigId id, unsigned bit) const;
 
     /** AIG input literal backing bit @p bit of Input cell @p id at @p t. */
     AigLit inputLit(unsigned t, SigId id, unsigned bit) const;
 
-    /** Equality of a signal with a constant, as one literal. */
-    AigLit sigEqConst(unsigned t, SigId id, uint64_t value);
+    /**
+     * Equality of a signal with a constant, as one literal built into
+     * @p overlay, an overlay of aig().
+     */
+    AigLit sigEqConst(Aig &overlay, unsigned t, SigId id,
+                      uint64_t value) const;
 
   private:
     void buildFrame();
@@ -65,7 +76,7 @@ class Unrolling
     Aig g;
     /** frames[t][sigId] = word of literals. */
     std::vector<std::vector<Word>> frames;
-    /** inputLits[t][inputIndexInDesign] = word of input literals. */
+    /** inputWords[t][inputIndexInDesign] = word of input literals. */
     std::vector<std::vector<Word>> inputWords;
 };
 

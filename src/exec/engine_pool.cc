@@ -56,8 +56,13 @@ bmc::Engine &
 EnginePool::laneEngine(unsigned lane)
 {
     Lane &l = lanes_[lane];
-    if (!l.eng)
-        l.eng = std::make_unique<bmc::Engine>(d, engCfg);
+    if (!l.eng) {
+        std::call_once(unrollOnce_, [this] {
+            unrolling_ =
+                std::make_shared<const bmc::Unrolling>(d, engCfg.bound);
+        });
+        l.eng = std::make_unique<bmc::Engine>(unrolling_, engCfg);
+    }
     return *l.eng;
 }
 

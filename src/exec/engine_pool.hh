@@ -6,10 +6,12 @@
  * The paper leans on JasperGold's proof-grid parallelism to evaluate the
  * thousands of template-instantiated cover properties RTL2MμPATH and
  * SynthLC issue per DUV (§V-B, §VII-B3); this is the reproduction's
- * equivalent. The pool owns a fixed number of engine *lanes* — each a
- * private bmc::Engine with its own solver and incremental unrolling over
- * the shared immutable Design — and a configurable number of worker
- * threads that execute queued lane work. Queries submitted in one batch
+ * equivalent. The pool owns a fixed number of engine *lanes* and a
+ * configurable number of worker threads that execute queued lane work.
+ * Each lane is a private bmc::Engine over the pool's one frozen
+ * unrolling of the design, which the lanes share read-only; a lane owns
+ * only its solver, its Tseitin map and an overlay AIG for the property
+ * logic its queries compile. Queries submitted in one batch
  * are independent by contract and run concurrently, one lane per thread
  * at a time; order-dependent loops (all-SAT blocking-clause enumeration)
  * use the sequential eval() path.
@@ -82,9 +84,11 @@ struct PoolStats
     bmc::EngineStats engine;
     /** SAT solver stats merged across lanes. */
     sat::SatStats sat;
-    /** Instance sizes summed across lanes. Named `coi` only because the
-     *  benchmark harness reads it (rmpbench/src/oneshot.cc:68-69,162);
-     *  rename it with those lines. */
+    /** Instance sizes summed across lanes. Each lane's aigNodes counts
+     *  the shared unrolling as well as its own overlay, so the sum counts
+     *  the unrolling once per built lane: a size of the lanes' views, not
+     *  of memory. Named `coi` only because the benchmark harness reads it
+     *  (rmpbench/src/oneshot.cc:68-69,162); rename it with those lines. */
     bmc::CoiStats coi;
     /** Query-cache counters (hits never touch a lane). */
     CacheStats cache;
@@ -188,6 +192,11 @@ class EnginePool
 
     const Design &d;
     bmc::EngineConfig engCfg;
+    /** The design unrolled to engCfg.bound frames, shared by every lane.
+     *  The first lane built builds it (lanes build concurrently on the
+     *  workers); never in the constructor, so set-up stays cheap. */
+    std::once_flag unrollOnce_;
+    std::shared_ptr<const bmc::Unrolling> unrolling_;
     uint64_t designFp;
     unsigned jobs_ = 1;
     store::VerdictStore *store_ = nullptr;

@@ -218,30 +218,31 @@ serializeExpr(const ExprRef &e, std::string *out)
 }
 
 bmc::AigLit
-compile(const ExprRef &e, bmc::Unrolling &u, unsigned start, unsigned bound)
+compile(const ExprRef &e, const bmc::Unrolling &u, bmc::Aig &g,
+        unsigned start)
 {
     using namespace bmc;
-    if (start >= bound)
+    if (start >= u.numFrames())
         return kFalse;
     switch (e->kind) {
       case ExprKind::True:
         return kTrue;
       case ExprKind::SigEqConst:
-        return u.sigEqConst(start, e->sig, e->value);
+        return u.sigEqConst(g, start, e->sig, e->value);
       case ExprKind::SigBit:
         return u.sigBit(start, e->sig, static_cast<unsigned>(e->value));
       case ExprKind::Not:
-        return aigNot(compile(e->a, u, start, bound));
+        return aigNot(compile(e->a, u, g, start));
       case ExprKind::And:
-        return u.aig().mkAnd(compile(e->a, u, start, bound),
-                             compile(e->b, u, start, bound));
+        return g.mkAnd(compile(e->a, u, g, start),
+                       compile(e->b, u, g, start));
       case ExprKind::Or:
-        return u.aig().mkOr(compile(e->a, u, start, bound),
-                            compile(e->b, u, start, bound));
+        return g.mkOr(compile(e->a, u, g, start),
+                      compile(e->b, u, g, start));
       case ExprKind::Delay: {
-          AigLit la = compile(e->a, u, start, bound);
-          AigLit lb = compile(e->b, u, start + e->delay, bound);
-          return u.aig().mkAnd(la, lb);
+          AigLit la = compile(e->a, u, g, start);
+          AigLit lb = compile(e->b, u, g, start + e->delay);
+          return g.mkAnd(la, lb);
       }
     }
     rmp_panic("compile: bad expr kind");

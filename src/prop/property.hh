@@ -6,7 +6,8 @@
  * templates use (§V-B, §V-C): boolean combinations of signal predicates,
  * the one-cycle sequence operator ##1, cover directives, and assume
  * constraints that must hold in every cycle. Properties are compiled
- * against a bmc::Unrolling into per-start-frame AIG literals.
+ * against a bmc::Unrolling into per-start-frame AIG literals of an
+ * overlay of its graph.
  */
 
 #ifndef PROP_PROPERTY_HH
@@ -96,12 +97,13 @@ uint64_t exprHash(const ExprRef &e, uint64_t seed = 0);
 void serializeExpr(const ExprRef &e, std::string *out);
 
 /**
- * Compile @p e as observed starting at frame @p start.
- * Frames beyond the unrolling bound make the expression FALSE (a bounded
- * semantics; the engine accounts for this when deciding outcomes).
+ * Compile @p e as observed starting at frame @p start, adding its logic
+ * to @p g, an overlay of @p u's graph. Frames at or beyond
+ * u.numFrames() make the expression FALSE (a bounded semantics; the
+ * engine accounts for this when deciding outcomes).
  */
-bmc::AigLit compile(const ExprRef &e, bmc::Unrolling &u, unsigned start,
-                    unsigned bound);
+bmc::AigLit compile(const ExprRef &e, const bmc::Unrolling &u, bmc::Aig &g,
+                    unsigned start);
 
 /**
  * Evaluate @p e over a simulated trace starting at cycle @p start, with the

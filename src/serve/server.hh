@@ -85,7 +85,9 @@ struct ServeConfig
      *  (DUV, config-fingerprint) key (0 = hardware_concurrency). */
     unsigned workers = 0;
     /** Per-worker queue bound: further heavy requests hashed to a full
-     *  worker are rejected ("queue full"). */
+     *  worker are rejected ("queue full"). `rmp serve --max-queue`
+     *  accepts 1 and up; 0 rejects every heavy request, which only the
+     *  backpressure test wants. */
     unsigned maxQueue = 64;
     /** Attach the persistent verdict store. */
     bool useStore = true;

@@ -228,7 +228,7 @@ class SynthLc
     ift::Instrumented inst;
     /**
      * Per-μFSM "any state/pcr shadow bit set" wires. Built before the
-     * engine so its eager unrolling covers them.
+     * pool so its unrolling of the design covers them.
      */
     std::vector<SigId> fsmTaint;
     exec::EnginePool pool_;

@@ -11,6 +11,8 @@
 #include <random>
 
 #include "bmc/engine.hh"
+#include "designs/catalog.hh"
+#include "designs/harness.hh"
 #include "rtlir/builder.hh"
 
 using namespace rmp;
@@ -41,6 +43,60 @@ TEST(Aig, StructuralHashing)
     size_t n = g.numAnds();
     g.mkAnd(a, b);
     EXPECT_EQ(g.numAnds(), n);
+}
+
+TEST(Aig, OverlayNumbersLikeACopy)
+{
+    // An overlay over a frozen base returns exactly the literals that the
+    // same calls return on a deep copy of the base, and leaves the base
+    // untouched.
+    Aig base;
+    AigLit a = base.addInput();
+    AigLit b = base.addInput();
+    AigLit c = base.addInput();
+    AigLit ab = base.mkAnd(a, b);
+    AigLit bc = base.mkOr(b, c);
+    const size_t baseNodes = base.numNodes();
+    const size_t baseAnds = base.numAnds();
+    Aig copy = base;
+    Aig overlay(&base);
+    EXPECT_EQ(overlay.numNodes(), baseNodes);
+    EXPECT_EQ(overlay.numAnds(), baseAnds);
+
+    // A pair the base hashes: the base literal, and no new node.
+    EXPECT_EQ(overlay.mkAnd(b, a), ab);
+    EXPECT_EQ(overlay.numNodes(), baseNodes);
+    // A new pair: the first id after the base's.
+    AigLit ac = overlay.mkAnd(a, c);
+    EXPECT_EQ(aigNode(ac), baseNodes);
+    EXPECT_EQ(overlay.numAnds(), baseAnds + 1);
+    EXPECT_EQ(copy.mkAnd(b, a), ab);
+    EXPECT_EQ(copy.mkAnd(a, c), ac);
+
+    auto script = [&](Aig &g) {
+        std::vector<AigLit> out;
+        out.push_back(g.mkAnd(ac, bc)); // overlay node x base node
+        out.push_back(g.mkXor(a, c));
+        out.push_back(g.mkMux(ab, ac, bc));
+        out.push_back(g.mkAnd(bc, ac)); // hashed in the overlay itself
+        out.push_back(g.mkOrN({a, b, c, ab}));
+        out.push_back(g.mkAnd(aigNot(ab), bc)); // base pair, new to both
+        out.push_back(g.addInput());
+        out.push_back(g.mkAnd(out.back(), a));
+        return out;
+    };
+    EXPECT_EQ(script(overlay), script(copy));
+    ASSERT_EQ(overlay.numNodes(), copy.numNodes());
+    EXPECT_EQ(overlay.numAnds(), copy.numAnds());
+    for (uint32_t n = 1; n < copy.numNodes(); n++) {
+        ASSERT_EQ(overlay.isInput(n), copy.isInput(n)) << n;
+        if (copy.isInput(n))
+            continue;
+        EXPECT_EQ(overlay.fanin0(n), copy.fanin0(n)) << n;
+        EXPECT_EQ(overlay.fanin1(n), copy.fanin1(n)) << n;
+    }
+    EXPECT_EQ(base.numNodes(), baseNodes);
+    EXPECT_EQ(base.numAnds(), baseAnds);
 }
 
 namespace
@@ -319,4 +375,45 @@ TEST(Bmc, StatsAccumulate)
     EXPECT_EQ(eng.stats().queries, 2u);
     EXPECT_EQ(eng.stats().reachable, 1u);
     EXPECT_EQ(eng.stats().unreachable, 1u);
+}
+
+TEST(Bmc, SharedUnrollingMatchesPrivateEngine)
+{
+    // B1 and B2 share one unrolling, A has a private one. B1 first runs a
+    // different cover stream, growing only its own overlay; B2 then
+    // answers A's stream with the same AIG ids, SAT variables, search
+    // and witnesses.
+    designs::Harness hx(*designs::buildDuv("tiny3"));
+    EngineConfig cfg;
+    cfg.bound = hx.duv().completenessBound;
+    auto shared = std::make_shared<const Unrolling>(hx.design(), cfg.bound);
+    Engine b1(shared, cfg);
+    Engine b2(shared, cfg);
+    Engine a(hx.design(), cfg);
+    const std::vector<ExprRef> base = hx.baseAssumes();
+
+    for (uhb::PlId p = 0; p < hx.numPls(); p++)
+        b1.cover(pBit(hx.plSig(p).iuvVisited), base);
+    EXPECT_GT(b1.coiStats().aigNodes, shared->aig().numNodes());
+
+    size_t reachable = 0;
+    for (uhb::PlId p = 0; p < hx.numPls(); p++) {
+        ExprRef occupied = pBit(hx.plSig(p).occupied);
+        CoverResult ra = a.cover(occupied, base);
+        CoverResult rb = b2.cover(occupied, base);
+        ASSERT_EQ(ra.outcome, rb.outcome) << hx.plName(p);
+        if (ra.reachable()) {
+            reachable++;
+            EXPECT_EQ(ra.witness.inputs, rb.witness.inputs) << hx.plName(p);
+            EXPECT_EQ(ra.witness.matchFrame, rb.witness.matchFrame)
+                << hx.plName(p);
+        }
+        EXPECT_EQ(a.coiStats().aigNodes, b2.coiStats().aigNodes);
+        EXPECT_EQ(a.coiStats().satVars, b2.coiStats().satVars);
+    }
+    EXPECT_GT(reachable, 0u);
+    EXPECT_GT(a.satStats().decisions, 0u);
+    EXPECT_EQ(a.satStats().conflicts, b2.satStats().conflicts);
+    EXPECT_EQ(a.satStats().decisions, b2.satStats().decisions);
+    EXPECT_EQ(a.satStats().propagations, b2.satStats().propagations);
 }

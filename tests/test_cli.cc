@@ -207,13 +207,15 @@ TEST(Cli, MalformedNumericFlagFailsWithUsage)
     // out-of-range value all exit 2 with the usage text naming the flag,
     // never abort on an uncaught exception or truncate silently. A
     // thread count past 1024 is out of range before any thread starts,
-    // and so is an age whose seconds overflow uint64_t.
+    // and so is an age whose seconds overflow uint64_t. A daemon queue
+    // bound of 0 would reject every heavy request.
     for (const char *bad :
          {"--jobs abc", "--budget x", "--workers ''", "--sim-threads 1z",
           "--timeout 99999999999", "--max-queue -1", "--priority 1.5",
           "--max-bytes ' 7'", "--max-age-days 18446744073709551616",
           "--max-age-days 213503982334602", "--jobs 1025",
-          "--sim-threads 1025", "--workers 1025", "--timeout -5"}) {
+          "--sim-threads 1025", "--workers 1025", "--timeout -5",
+          "--max-queue 0"}) {
         RunResult r = run(std::string("bugs tiny3 ") + bad);
         EXPECT_EQ(r.status, 2) << bad << ": " << r.output;
         EXPECT_TRUE(mentionsUsage(r.output)) << bad << ": " << r.output;
@@ -222,9 +224,11 @@ TEST(Cli, MalformedNumericFlagFailsWithUsage)
             << bad << ": " << r.output;
     }
     // In-range values still parse, including a negative priority and
-    // the inclusive ends of the --timeout and --max-age-days ranges.
+    // the inclusive ends of the --timeout, --max-age-days and
+    // --max-queue ranges.
     RunResult ok = run("bugs tiny3 --jobs 2 --sim-threads 1 --priority -3"
-                       " --timeout 0 --max-age-days 213503982334601");
+                       " --timeout 0 --max-age-days 213503982334601"
+                       " --max-queue 1");
     EXPECT_EQ(ok.status, 0) << ok.output;
 }
 

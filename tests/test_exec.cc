@@ -3,8 +3,8 @@
  * Tests for the parallel evaluation layer (src/exec): engine-pool eval
  * vs. a direct engine, cross-query memoization (hits replay identical
  * results, including witnesses), in-batch deduplication, jobs-invariant
- * batch results, SAT-budget exhaustion surfacing end-to-end as
- * Undetermined, and parallelFor coverage.
+ * batch results, one shared unrolling per pool, SAT-budget exhaustion
+ * surfacing end-to-end as Undetermined, and parallelFor coverage.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,9 @@
 #include <vector>
 
 #include "exec/engine_pool.hh"
+#include "obs/obs.hh"
+#include "obs/registry.hh"
+#include "obs/trace.hh"
 #include "rtlir/builder.hh"
 
 using namespace rmp;
@@ -179,6 +182,34 @@ TEST(Exec, BatchResultsAreJobsInvariant)
         expectSameResult(a[i], b[i], cd.cnt);
     EXPECT_EQ(serial.stats().engine.queries,
               threaded.stats().engine.queries);
+}
+
+TEST(Exec, PoolBuildsOneUnrolling)
+{
+    // Eight lanes built concurrently by four workers unroll the design
+    // once between them, and answer as a one-thread pool does.
+    CounterDesign cd;
+    std::vector<Query> qs;
+    for (unsigned v = 0; v < 16; v++)
+        qs.push_back(Query{pEq(cd.cnt, v), {}, -1});
+    EnginePool serial(cd.d, counterCfg(), ExecConfig{1, 8});
+    std::vector<CoverResult> expected = serial.evalBatch(qs);
+
+    obs::Counter &frames =
+        obs::Registry::global().counter("bmc.unroll.frames");
+    obs::setEnabled(true);
+    uint64_t before = frames.value();
+    EnginePool pool(cd.d, counterCfg(), ExecConfig{4, 8});
+    std::vector<CoverResult> got = pool.evalBatch(qs);
+    uint64_t unrolled = frames.value() - before;
+    obs::setEnabled(false);
+    obs::clearTrace();
+
+    EXPECT_EQ(pool.stats().lanesBuilt, 8u);
+    EXPECT_EQ(unrolled, counterCfg().bound);
+    ASSERT_EQ(got.size(), expected.size());
+    for (size_t i = 0; i < got.size(); i++)
+        expectSameResult(expected[i], got[i], cd.cnt);
 }
 
 TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)

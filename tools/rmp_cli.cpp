@@ -128,7 +128,7 @@ usage(std::FILE *f)
         "                 concurrency)\n"
         "  --max-queue N  per-worker daemon queue bound before"
         " backpressure\n"
-        "                 (default 64)\n"
+        "                 (N >= 1; default 64)\n"
         "  --no-store     daemon: do not attach the verdict store\n"
         "  --priority N   client: job priority (higher runs first)\n"
         "  --timeout MS   client: per-read response timeout (MS >= 0;\n"
@@ -321,8 +321,9 @@ parseOptions(int argc, char **argv, int first)
             o.workers = parseNumber<unsigned>("--workers", need("--workers"),
                                               0, kMaxThreads);
         else if (a == "--max-queue")
+            // A bound of 0 would reject every heavy request.
             o.maxQueue =
-                parseNumber<unsigned>("--max-queue", need("--max-queue"));
+                parseNumber<unsigned>("--max-queue", need("--max-queue"), 1);
         else if (a == "--follow")
             o.follow = true;
         else if (a == "--max-bytes")
