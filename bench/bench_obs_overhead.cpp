@@ -3,9 +3,9 @@
  * Disabled-mode overhead of the observability subsystem (DESIGN.md §3f).
  *
  * The obs instrumentation is compiled into every hot path — SAT solves,
- * BMC unrolling, pool lanes, synthesis steps — guarded by one relaxed
- * atomic load (obs::enabled()). This bench quantifies what that guard
- * costs when observability is off:
+ * BMC unrolling, the engine pool, synthesis steps — guarded by one
+ * relaxed atomic load (obs::enabled()). This bench quantifies what that
+ * guard costs when observability is off:
  *
  *  1. A macro run: the tiny3 full-ISA synthesis workload, repeated with
  *     observability disabled and enabled (min wall time of N repeats

@@ -5,7 +5,7 @@
  *
  * The one-shot baseline performs exactly what `rmp synth mcva` pays on
  * every invocation — elaboration, harness construction, compiled-tape
- * and engine-lane build, simulation exploration, and the solver queries
+ * and engine build, simulation exploration, and the solver queries
  * — in-process, with the same configuration the daemon's registry uses.
  * The cold-daemon pass pays the same once over the socket; the warm-
  * daemon pass repeats the identical request against the now-warm

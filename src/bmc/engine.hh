@@ -233,14 +233,14 @@ struct CoiStats
  * Incremental cover/assume evaluator over one design.
  *
  * The full-design unrolling is frozen and may be shared by several
- * engines, such as the lanes of an exec::EnginePool. Each engine owns
- * what its query history builds: its solver, the Tseitin map from AIG
- * nodes to its variables, its failed-assumption cores, and an overlay
- * AIG holding the property logic its queries compile. Overlay nodes are
- * numbered after the unrolling's, so an engine's variables, verdicts and
- * witnesses are the same whether its unrolling is shared or private.
- * Every query on an engine shares its CNF and learned clauses;
- * per-query constraints enter as SAT assumptions only.
+ * engines; an exec::EnginePool runs one engine over a private one. Each
+ * engine owns what its query history builds: its solver, the Tseitin
+ * map from AIG nodes to its variables, its failed-assumption cores, and
+ * an overlay AIG holding the property logic its queries compile. Overlay
+ * nodes are numbered after the unrolling's, so an engine's variables,
+ * verdicts and witnesses are the same whether its unrolling is shared
+ * or private. Every query on an engine shares its CNF and learned
+ * clauses; per-query constraints enter as SAT assumptions only.
  */
 class Engine
 {

@@ -9,7 +9,7 @@
  * checker (§VI) — constraints on those inputs come from assume properties.
  *
  * An unrolling is built whole, for a fixed number of frames, and is
- * read-only afterwards, so one copy serves every engine lane of a pool
+ * read-only afterwards, so one copy can serve several engines
  * (DESIGN.md §3d). Property logic never enters it: each engine compiles
  * its queries into its own overlay of aig().
  */

@@ -5,12 +5,13 @@
  * One EnginePool sizes itself for a machine; N concurrent pools — the
  * multi-worker daemon runs one per (DUV, config) key — would
  * oversubscribe it N-fold. The AdmissionGate is a weighted semaphore
- * over a fixed core budget: before a pool dispatches a parallel batch
- * to its workers it acquires a weight equal to the parallelism it is
- * about to use, blocking while the budget is exhausted. Admission is
- * pure scheduling — it decides *when* a batch's workers run, never
- * which lane answers which query — so verdicts and renders stay
- * byte-identical at any capacity.
+ * over a fixed core budget: before a pool dispatches a parallelFor
+ * batch (simulation) to its workers it acquires a weight equal to the
+ * parallelism it is about to use, blocking while the budget is
+ * exhausted. Admission is pure scheduling — it decides *when* a batch's
+ * workers run, never what they compute, and cover queries never pass
+ * through it — so verdicts and renders stay byte-identical at any
+ * capacity.
  *
  * Weights are clamped to the capacity (a single pool wider than the
  * whole budget admits alone rather than deadlocking) and to >= 1.

@@ -1,29 +1,22 @@
 /**
  * @file
- * Parallel cover-query evaluation: a pool of BMC engine lanes driven by
- * worker threads, with cross-query memoization.
+ * Cover-query evaluation: one BMC engine per pool behind a cross-query
+ * memoization cache, plus worker threads for data-parallel simulation.
  *
  * The paper leans on JasperGold's proof-grid parallelism to evaluate the
  * thousands of template-instantiated cover properties RTL2MμPATH and
  * SynthLC issue per DUV (§V-B, §VII-B3); this is the reproduction's
- * equivalent. The pool owns a fixed number of engine *lanes* and a
- * configurable number of worker threads that execute queued lane work.
- * Each lane is a private bmc::Engine over the pool's one frozen
- * unrolling of the design, which the lanes share read-only; a lane owns
- * only its solver, its Tseitin map and an overlay AIG for the property
- * logic its queries compile. Queries submitted in one batch
- * are independent by contract and run concurrently, one lane per thread
- * at a time; order-dependent loops (all-SAT blocking-clause enumeration)
- * use the sequential eval() path.
+ * equivalent. Every cache-missed query runs on the pool's one
+ * bmc::Engine, on the calling thread, in submission order: one warm
+ * solver learns once what several cold solvers would each re-derive
+ * (DESIGN.md §3d). The pool's worker threads serve only parallelFor():
+ * simulation exploration and SynthLC's taint-simulation batches.
  *
- * Determinism: verdicts must not depend on --jobs. A query's verdict can
- * depend on its engine's history (learned clauses shift which queries
- * exhaust a SAT budget), so the pool fixes the lane count *independently
- * of the thread count* and assigns queries to lanes round-robin in
- * submission order, with all cache decisions made serially on the
- * submitting thread. Every lane therefore sees the same query sequence —
- * and returns the same verdicts, witnesses, and Undetermined tallies —
- * whether the lanes are drained by 1 thread or 16.
+ * Determinism: a query's verdict can depend on its engine's history
+ * (learned clauses shift which queries exhaust a SAT budget). The one
+ * engine sees the queries in submission order whatever the thread
+ * count, so verdicts, witnesses and Undetermined tallies are identical
+ * for every --jobs value by construction.
  */
 
 #ifndef EXEC_ENGINE_POOL_HH
@@ -55,24 +48,17 @@ struct Query
 /** Pool sizing. */
 struct ExecConfig
 {
-    /** Worker threads; 0 = std::thread::hardware_concurrency(). */
+    /** Worker threads for parallelFor(); 0 = hardware_concurrency(). */
     unsigned jobs = 0;
-    /**
-     * Engine lanes; 0 = kDefaultLanes. Verdict determinism across --jobs
-     * values requires the lane count to NOT depend on jobs — two runs
-     * with different lane counts shard query history differently and may
-     * disagree on budget-exhaustion (Undetermined) verdicts.
-     */
-    unsigned lanes = 0;
     /**
      * Persistent verdict store (not owned; nullptr = none). When set
      * (and enabled), the pool turns on bmc proof capture, attaches the
      * store to the query cache for read-through, write-throughs
      * Reachable/Undetermined verdicts as they complete, and defers
      * Unreachable-with-proof records until flushStore() serializes the
-     * lane proof contexts they reference. Verdicts are store-invariant:
-     * a store hit replays the identical compressed result a memory hit
-     * would.
+     * engine's proof context they reference. Verdicts are store-
+     * invariant: a store hit replays the identical compressed result a
+     * memory hit would.
      */
     store::VerdictStore *store = nullptr;
 };
@@ -80,21 +66,21 @@ struct ExecConfig
 /** Aggregate pool statistics. */
 struct PoolStats
 {
-    /** Engine stats merged across lanes (solver-evaluated queries only). */
+    /** Engine stats (solver-evaluated queries only). */
     bmc::EngineStats engine;
-    /** SAT solver stats merged across lanes. */
+    /** SAT solver stats of the engine. */
     sat::SatStats sat;
-    /** Instance sizes summed across lanes. Each lane's aigNodes counts
-     *  the shared unrolling as well as its own overlay, so the sum counts
-     *  the unrolling once per built lane: a size of the lanes' views, not
-     *  of memory. Named `coi` only because the benchmark harness reads it
+    /** Instance size of the engine: its unrolling plus its overlay.
+     *  Named `coi` only because the benchmark harness reads it
      *  (rmpbench/src/oneshot.cc:68-69,162); rename it with those lines. */
     bmc::CoiStats coi;
-    /** Query-cache counters (hits never touch a lane). */
+    /** Query-cache counters (hits never touch the engine). */
     CacheStats cache;
     /** Verdict-store counters (zero when no store is attached). */
     store::StoreStats store;
-    /** Lanes whose engine was actually constructed. */
+    /** 1 once the engine is built, else 0. Named for the removed engine
+     *  lanes only because the benchmark harness reads it
+     *  (rmpbench/src/oneshot.cc:72,163); rename it with those lines. */
     unsigned lanesBuilt = 0;
 };
 
@@ -103,14 +89,13 @@ struct PoolStats
  * synthesizers own one and submit every BMC query through it.
  *
  * Threading contract: a single orchestrator thread calls eval()/
- * evalBatch()/parallelFor(); the calls block until the submitted work is
- * complete. Worker threads never submit work themselves.
+ * evalBatch()/parallelFor()/flushStore(); the calls block until the
+ * submitted work is complete. Worker threads never submit work
+ * themselves.
  */
 class EnginePool
 {
   public:
-    static constexpr unsigned kDefaultLanes = 8;
-
     EnginePool(const Design &design, const bmc::EngineConfig &engine_cfg,
                const ExecConfig &exec_cfg = {});
     ~EnginePool();
@@ -118,36 +103,34 @@ class EnginePool
     EnginePool(const EnginePool &) = delete;
     EnginePool &operator=(const EnginePool &) = delete;
 
-    /** Evaluate one query (cache-checked) on the calling thread. */
+    /** Evaluate one query: a cache or store hit, else a solve on the
+     *  pool's engine, on the calling thread. */
     bmc::CoverResult eval(const Query &q);
 
     /**
-     * Evaluate a batch of independent queries; results are returned in
-     * submission order. Duplicate queries within the batch are solved
-     * once (the rest are cache hits).
+     * Evaluate a batch of independent queries with eval(), in order;
+     * results are returned in submission order. A duplicate within the
+     * batch is a cache hit of its first occurrence.
      */
     std::vector<bmc::CoverResult> evalBatch(const std::vector<Query> &qs);
 
     /**
-     * Generic data parallelism on the same workers (no engines touched):
-     * run fn(0..n-1) across the pool. Used for simulation batches. @p fn
+     * Generic data parallelism on the workers (no engine touched): run
+     * fn(0..n-1) across the pool. Used for simulation batches. @p fn
      * must only write to index-distinct state.
      */
     void parallelFor(size_t n, const std::function<void(size_t)> &fn);
 
     /**
-     * Publish all deferred Unreachable-with-proof records: serialize
-     * each referenced lane proof context once (content-addressed, so
-     * repeat flushes of a grown context dedup against nothing — a grown
-     * context is new bytes, a stable one is a dedup hit), then write the
-     * records pointing into it. Called automatically at destruction;
-     * callable earlier (the serve daemon flushes on drain). Orchestrator
-     * thread only, like eval().
+     * Publish all deferred Unreachable-with-proof records: serialize the
+     * engine's proof context once (content-addressed, so repeat flushes
+     * of a grown context write new bytes and of a stable one dedup),
+     * then write the records pointing into it. Called automatically at
+     * destruction; callable earlier (the serve daemon flushes on drain).
      */
     void flushStore();
 
     unsigned jobs() const { return jobs_; }
-    unsigned lanes() const { return static_cast<unsigned>(lanes_.size()); }
     unsigned bound() const { return engCfg.bound; }
     const Design &design() const { return d; }
     const bmc::EngineConfig &engineConfig() const { return engCfg; }
@@ -155,36 +138,11 @@ class EnginePool
     PoolStats stats() const;
 
   private:
-    struct Lane
-    {
-        std::unique_ptr<bmc::Engine> eng;
-    };
-
-    /** A deduplicated batch entry routed to one lane. */
-    struct Unit
-    {
-        QueryKey key;
-        std::string keyBytes;
-        const Query *q = nullptr;
-        size_t primary = 0;           ///< result slot filled by the solver
-        std::vector<size_t> aliases;  ///< duplicate slots (served as hits)
-        unsigned lane = 0;
-    };
-
-    bmc::Engine &laneEngine(unsigned lane);
-    /** @p submit_ns: submission timestamp for queue-wait attribution
-     *  (0 = not queued, e.g. the synchronous eval() path). */
-    bmc::CoverResult runOnLane(unsigned lane, const Query &q,
-                               const QueryKey &key,
-                               const std::string &keyBytes,
-                               uint64_t submit_ns = 0);
-    void runTasks(std::vector<std::function<void()>> tasks);
     void workerLoop();
 
     /** One deferred store write awaiting its proof-context blob. */
     struct PendingProof
     {
-        unsigned lane = 0;
         QueryKey key;
         std::string keyBytes;
         store::VerdictRecord rec;
@@ -192,23 +150,16 @@ class EnginePool
 
     const Design &d;
     bmc::EngineConfig engCfg;
-    /** The design unrolled to engCfg.bound frames, shared by every lane.
-     *  The first lane built builds it (lanes build concurrently on the
-     *  workers); never in the constructor, so set-up stays cheap. */
-    std::once_flag unrollOnce_;
-    std::shared_ptr<const bmc::Unrolling> unrolling_;
     uint64_t designFp;
     unsigned jobs_ = 1;
     store::VerdictStore *store_ = nullptr;
-    /** Guards pendingProofs_ (publish runs on worker threads). */
-    std::mutex storeMu_;
     std::vector<PendingProof> pendingProofs_;
-    std::vector<Lane> lanes_;
-    /** Round-robin lane cursor; advanced once per cache-missed query. */
-    uint64_t nextLane = 0;
+    /** Built on the first cache miss, never in the constructor, so
+     *  set-up does not pay for the unrolling. */
+    std::unique_ptr<bmc::Engine> engine_;
     QueryCache cache_;
 
-    /** @name Worker machinery (only active when jobs > 1) */
+    /** @name Worker machinery for parallelFor (only when jobs > 1) */
     /// @{
     std::mutex mu;
     std::condition_variable cvWork, cvDone;

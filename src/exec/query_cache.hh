@@ -129,7 +129,7 @@ bmc::CoverResult expandResult(const CachedResult &c, const Design &d);
  * cycles canonicalized by sorting on signal id (InputMap iteration order
  * is not deterministic), proof prefix counts and assumptions copied from
  * CoverResult::proof. The proof *blob address* is left unset — the
- * EnginePool fills it when it flushes the lane's proof context
+ * EnginePool fills it when it flushes its engine's proof context
  * (EnginePool::flushStore).
  */
 store::VerdictRecord toStoreRecord(const bmc::CoverResult &r);
@@ -144,12 +144,12 @@ CachedResult fromStoreRecord(const store::VerdictRecord &rec);
  * (and counted) rather than silently aliasing one query's verdict to
  * another. Colliding queries coexist in one digest bucket.
  *
- * get()/put() are individually locked; the EnginePool performs all get()
- * calls on the submitting thread (deterministic order) and put() calls
- * from workers, so a result is published exactly once per key. The
- * hit/miss/entry/collision counters are lock-free obs::Counter handles
- * owned by the global metrics registry (labeled per cache instance),
- * updated outside the map mutex.
+ * get()/put() are individually locked, so the cache is safe to share;
+ * the EnginePool makes every get() and put() on its orchestrating
+ * thread, in submission order. The hit/miss/entry/collision counters
+ * are lock-free obs::Counter handles owned by the global metrics
+ * registry (labeled per cache instance), updated outside the map
+ * mutex.
  */
 class QueryCache
 {

@@ -17,10 +17,8 @@
  * so recording a span never allocates.
  *
  * Tracks: by default an event lands on the recording thread's track.
- * ScopedTrack overrides the track for everything recorded in its scope
- * — the engine pool routes each lane's work onto a `lane-N` track, so
- * the exported trace shows one swim-lane per engine lane (the paper's
- * proof-grid picture), regardless of which worker thread drained it.
+ * ScopedTrack overrides the track for everything recorded in its scope,
+ * and setTrackName() labels a track in the export.
  * exportChromeTrace()/traceJson() emit the Trace Event Format JSON that
  * chrome://tracing and Perfetto load directly.
  */

@@ -197,6 +197,9 @@ poolStatsJson(const exec::PoolStats &s)
     j.put("audit_replayed", s.engine.auditReplayed);
     j.put("audit_proof_checked", s.engine.auditProofChecked);
     j.put("audit_mismatches", s.engine.auditMismatches);
+    // 0 or 1: whether the pool's one engine is built. Named for the
+    // removed engine lanes; the benchmark harness reads it
+    // (rmpbench/src/daemon.cc:262, rmpbench/run.py:671).
     j.put("lanes_built", static_cast<uint64_t>(s.lanesBuilt));
     j.put("sat_conflicts", s.sat.conflicts);
     j.put("sat_decisions", s.sat.decisions);

@@ -45,6 +45,10 @@ const char *kStepNames[kNumSteps] = {
     "6b:revisit-counts", "7:decisions",
 };
 
+/** Reachable-PL-Set and candidate-set enumeration stop beyond this many
+ *  sets. */
+constexpr size_t kMaxCandidateSets = 4096;
+
 /** Named-field engine configuration (positional init breaks silently as
  *  EngineConfig grows). */
 bmc::EngineConfig
@@ -317,7 +321,7 @@ MuPathSynthesizer::enumerateCandidateSets(const PruneFacts &f) const
         };
 
     std::function<void(size_t)> rec = [&](size_t idx) {
-        if (out.size() >= cfg.maxCandidateSets)
+        if (out.size() >= kMaxCandidateSets)
             return;
         if (idx == n) {
             std::vector<PlId> set;
@@ -425,7 +429,7 @@ MuPathSynthesizer::reachableSetsAllSat(InstrId iuv,
         assumes.push_back(
             pNot(pAnd(gone, exprVisitedExactly(iuv_pls, set))));
     }
-    while (out.size() < cfg.maxCandidateSets) {
+    while (out.size() < kMaxCandidateSets) {
         CoverResult r = query(kSetReach, gone, assumes);
         if (r.outcome != Outcome::Reachable)
             break;
@@ -647,24 +651,6 @@ MuPathSynthesizer::synthesizeAll(const std::vector<InstrId> &iuvs)
 
     // Phase 2: step-1 covers, shared by every IUV.
     duvPls();
-
-    // Phase 3: prefetch every IUV's independent step-2 covers as one
-    // cross-IUV batch. No tallying here — the sequential synthesize()
-    // calls below re-issue the same queries, replay them from the cache,
-    // and tally each exactly once in the canonical order.
-    if (cfg.closureChecks || !cfg.useSimExploration) {
-        std::vector<exec::Query> prefetch;
-        for (InstrId iuv : iuvs) {
-            const SimFacts &f = facts(iuv);
-            for (PlId p : duvPls()) {
-                if (f.iuvPls.count(p))
-                    continue;
-                prefetch.push_back(mkQuery(pBit(hx.plSig(p).iuvAt),
-                                           {hx.assumeIuvIs(iuv)}));
-            }
-        }
-        pool_.evalBatch(prefetch);
-    }
 
     std::map<InstrId, InstrPaths> out;
     for (InstrId iuv : iuvs) {

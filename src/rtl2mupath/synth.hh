@@ -65,8 +65,6 @@ struct SynthesisConfig
     bool revisitCounts = false;
     /** Largest visit count probed when revisitCounts is on. */
     unsigned maxRevisitCount = 16;
-    /** Abort candidate-set enumeration beyond this many sets. */
-    size_t maxCandidateSets = 4096;
     /**
      * Discover Reachable PL Sets and decisions with the paper's §V-B3/B4
      * procedure (dominates/exclusive pruning of the power set followed by
@@ -79,10 +77,10 @@ struct SynthesisConfig
      */
     bool usePaperEnumeration = false;
     /**
-     * Worker threads for parallel property evaluation (the reproduction's
-     * stand-in for JasperGold's proof grid). 0 = hardware_concurrency().
-     * Verdicts and synthesized results are identical for every value
-     * (DESIGN.md §"Parallel evaluation").
+     * Worker threads for the per-IUV simulation explorations.
+     * 0 = hardware_concurrency(). Cover queries run on the engine pool's
+     * one engine in submission order, so verdicts and synthesized
+     * results are identical for every value (DESIGN.md §3d).
      */
     unsigned jobs = 0;
     /** Audit Reachable verdicts by simulator witness replay
@@ -138,14 +136,10 @@ class MuPathSynthesizer
     uhb::InstrPaths synthesize(uhb::InstrId iuv);
 
     /**
-     * Synthesize several instructions, exploiting cross-IUV parallelism:
-     * simulation exploration runs concurrently for all IUVs and every
-     * IUV's independent step-2 covers are prefetched through the engine
-     * pool as one batch (per-IUV results then hit the query cache).
-     * Results are deterministic and jobs-invariant; they match calling
-     * synthesize() per IUV in order (the prefetch can only shift which
-     * lane first proves a fact, never the verdict, except at SAT-budget
-     * boundaries where both orders are individually deterministic).
+     * Synthesize several instructions: simulation exploration runs
+     * concurrently for all IUVs, then step 1 and synthesize() per IUV in
+     * the given order. Results are deterministic and jobs-invariant, and
+     * equal calling synthesize() per IUV in order.
      */
     std::map<uhb::InstrId, uhb::InstrPaths>
     synthesizeAll(const std::vector<uhb::InstrId> &iuvs);

@@ -22,17 +22,19 @@
  * bounded priority queue (maxQueue is per worker; a full queue rejects
  * with "queue full", the backpressure signal) and its own warm-registry
  * shard; queued (not yet running) jobs can be cancelled by the
- * connection that submitted them. Every job still parallelizes
- * internally through its engine pool, and the pools admit their
- * parallel batches through the process-global exec::AdmissionGate so N
+ * connection that submitted them. Every job still parallelizes its
+ * simulation through its engine pool's parallelFor, and the pools admit
+ * those batches through the process-global exec::AdmissionGate so N
  * concurrent synth jobs share the machine instead of oversubscribing
- * it N-fold. A heavy request is checked before it is queued: a
+ * it N-fold; a job's cover queries run on its pool's one engine, on the
+ * job's worker thread. A heavy request is checked before it is queued: a
  * non-integral or out-of-range priority, or a synth/prove option that
  * is unknown or of the wrong type, gets an error reply naming the key.
  *
  * Warm state is a registry keyed by (duv, synthesis-config fingerprint):
  * the harnessed design plus its MuPathSynthesizer, whose engine pool —
- * compiled tape, SAT lanes, query cache — carries across requests.
+ * its one warm BMC engine and its query cache — carries across
+ * requests.
  * Because routing hashes the same key, a registry entry lives on
  * exactly one worker and is touched by no other thread. A repeated
  * synth therefore answers from the in-memory query cache; across daemon

@@ -5,6 +5,8 @@
 #include <chrono>
 #include <cstring>
 #include <filesystem>
+#include <map>
+#include <numeric>
 #include <unordered_map>
 
 #include "common/logging.hh"
@@ -602,44 +604,86 @@ bool
 VerdictStore::checkProof(const sat::Cnf &inputs, const sat::DratLog &log,
                          const VerdictRecord &rec, std::string *why)
 {
-    auto fail = [&](const std::string &msg) {
-        if (why)
-            *why = msg;
-        return false;
-    };
-    if (!rec.hasProof)
-        return fail("record carries no proof");
-    if (rec.proofInputCount > inputs.clauses.size())
-        return fail(strfmt("proof references %llu input clauses, context "
-                           "has %zu",
-                           static_cast<unsigned long long>(
-                               rec.proofInputCount),
-                           inputs.clauses.size()));
-    if (rec.proofStepCount > log.size())
-        return fail(strfmt("proof references %llu steps, context has %zu",
-                           static_cast<unsigned long long>(
-                               rec.proofStepCount),
-                           log.size()));
+    std::string fail = checkProofs(inputs, log, {&rec}).front();
+    if (why)
+        *why = fail;
+    return fail.empty();
+}
+
+std::vector<std::string>
+VerdictStore::checkProofs(const sat::Cnf &inputs, const sat::DratLog &log,
+                          const std::vector<const VerdictRecord *> &recs)
+{
     // Prefix replay: inputs first, then the derivation prefix. The live
     // checker saw the two interleaved; feeding all prefix inputs up
     // front only grows the clause set available to each RUP check, and
     // RUP is monotone in that set, so the replay accepts every trace the
     // live checker accepted and its conclusion remains a genuine
     // refutation of inputs + assumptions (bmc::ProofRef doc).
-    sat::DratChecker chk;
-    for (uint64_t i = 0; i < rec.proofInputCount; i++)
-        chk.addInput(inputs.clauses[i]);
-    for (uint64_t i = 0; i < rec.proofStepCount; i++)
-        chk.step(log[i]);
-    if (!chk.ok())
-        return fail("proof replay: " + chk.firstFailure());
-    std::vector<sat::Lit> assumptions(rec.assumptions.size());
-    for (size_t i = 0; i < rec.assumptions.size(); i++)
-        assumptions[i].x = rec.assumptions[i];
-    if (!chk.checkUnsat(assumptions))
-        return fail("proof replay: assumptions not refuted by unit "
-                    "propagation over the replayed clause set");
-    return true;
+    //
+    // Shared replay: records are visited by (steps, inputs) prefix, and
+    // each one feeds the checker only the inputs and steps its prefix
+    // adds to the previous record's. So every step is RUP-checked
+    // against the inputs of the first record whose prefix includes it
+    // plus the steps before it: exactly what that record's own replay
+    // holds (a recorded context deletes only clauses already fed). RUP
+    // is monotone, so a step accepted there is accepted in the longer
+    // prefixes too, and every clause the checker holds follows from the
+    // inputs fed, so an accepted record refutes its own input prefix
+    // under its assumptions. ok() latches, so after a failed step the
+    // next record starts a fresh replay; so does a record whose inputs
+    // fall below those already fed, which cannot extend that prefix.
+    std::vector<size_t> order(recs.size());
+    std::iota(order.begin(), order.end(), size_t{0});
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return std::pair(recs[a]->proofStepCount, recs[a]->proofInputCount) <
+               std::pair(recs[b]->proofStepCount, recs[b]->proofInputCount);
+    });
+    std::vector<std::string> why(recs.size());
+    std::unique_ptr<sat::DratChecker> chk;
+    uint64_t fed_inputs = 0, fed_steps = 0;
+    for (size_t i : order) {
+        const VerdictRecord &rec = *recs[i];
+        if (!rec.hasProof) {
+            why[i] = "record carries no proof";
+            continue;
+        }
+        if (rec.proofInputCount > inputs.clauses.size()) {
+            why[i] = strfmt("proof references %llu input clauses, context "
+                            "has %zu",
+                            static_cast<unsigned long long>(
+                                rec.proofInputCount),
+                            inputs.clauses.size());
+            continue;
+        }
+        if (rec.proofStepCount > log.size()) {
+            why[i] = strfmt("proof references %llu steps, context has %zu",
+                            static_cast<unsigned long long>(
+                                rec.proofStepCount),
+                            log.size());
+            continue;
+        }
+        if (!chk || rec.proofInputCount < fed_inputs) {
+            chk = std::make_unique<sat::DratChecker>();
+            fed_inputs = fed_steps = 0;
+        }
+        for (; fed_inputs < rec.proofInputCount; fed_inputs++)
+            chk->addInput(inputs.clauses[fed_inputs]);
+        for (; fed_steps < rec.proofStepCount; fed_steps++)
+            chk->step(log[fed_steps]);
+        if (!chk->ok()) {
+            why[i] = "proof replay: " + chk->firstFailure();
+            chk.reset();
+            continue;
+        }
+        std::vector<sat::Lit> assumptions(rec.assumptions.size());
+        for (size_t k = 0; k < rec.assumptions.size(); k++)
+            assumptions[k].x = rec.assumptions[k];
+        if (!chk->checkUnsat(assumptions))
+            why[i] = "proof replay: assumptions not refuted by unit "
+                     "propagation over the replayed clause set";
+    }
+    return why;
 }
 
 ScanSummary
@@ -692,6 +736,14 @@ VerdictStore::verify()
         if (s.firstFailure.empty())
             s.firstFailure = path + ": " + msg;
     };
+    // Proof-carrying records grouped by the context blob they reference,
+    // so each blob is read and parsed once and its records share replays.
+    struct Proof
+    {
+        std::string path;
+        VerdictRecord rec;
+    };
+    std::map<std::string, std::vector<Proof>> by_blob;
     std::error_code ec;
     for (const auto &e : fs::recursive_directory_iterator(records_, ec)) {
         if (!e.is_regular_file() || e.path().extension() != ".vr")
@@ -708,25 +760,34 @@ VerdictStore::verify()
         if (!rec.hasProof)
             continue;
         s.proofs++;
+        by_blob[hashHex(rec.proofBlob)].push_back(Proof{path, std::move(rec)});
+    }
+    for (const auto &[hex, group] : by_blob) {
         std::string blob;
-        if (!getBlob(rec.proofBlob, &blob)) {
-            s.missingBlobs++;
-            note(path, "proof blob missing or corrupt");
-            continue;
-        }
         sat::Cnf inputs;
         sat::DratLog log;
-        if (!parseProofContext(blob, &inputs, &log)) {
-            s.missingBlobs++;
-            note(path, "proof context failed to parse");
+        const char *bad = nullptr;
+        if (!getBlob(group.front().rec.proofBlob, &blob))
+            bad = "proof blob missing or corrupt";
+        else if (!parseProofContext(blob, &inputs, &log))
+            bad = "proof context failed to parse";
+        if (bad) {
+            s.missingBlobs += group.size();
+            note(group.front().path, bad);
             continue;
         }
-        std::string why;
-        if (checkProof(inputs, log, rec, &why)) {
-            s.proofsOk++;
-        } else {
-            s.proofsFailed++;
-            note(path, why);
+        std::vector<const VerdictRecord *> recs;
+        recs.reserve(group.size());
+        for (const Proof &p : group)
+            recs.push_back(&p.rec);
+        std::vector<std::string> why = checkProofs(inputs, log, recs);
+        for (size_t i = 0; i < group.size(); i++) {
+            if (why[i].empty()) {
+                s.proofsOk++;
+            } else {
+                s.proofsFailed++;
+                note(group[i].path, why[i]);
+            }
         }
     }
     return s;

@@ -257,8 +257,10 @@ class VerdictStore
     /**
      * Re-check the store: every record must parse, and every proof-
      * carrying record's DRAT prefix must close its verdict through a
-     * fresh checker. This is the external auditor's entry point — it
-     * shares no state with the solver that produced the proofs.
+     * checker of its own context (checkProofs: each blob is parsed once
+     * and its records share replays). This is the external auditor's
+     * entry point — it shares no state with the solver that produced
+     * the proofs.
      */
     VerifySummary verify();
 
@@ -288,10 +290,20 @@ class VerdictStore
      * input clauses and first proofStepCount steps, require every
      * addition RUP (ok()) and the assumptions to close the refutation
      * (checkUnsat). @p why receives the first failure when non-null.
+     * The one-record case of checkProofs().
      */
     static bool checkProof(const sat::Cnf &inputs, const sat::DratLog &log,
                            const VerdictRecord &rec,
                            std::string *why = nullptr);
+
+    /**
+     * checkProof() for every record of @p recs, all referencing context
+     * (@p inputs, @p log), with nested prefixes sharing one replay.
+     * Returns one failure message per record ("" = proof OK).
+     */
+    static std::vector<std::string>
+    checkProofs(const sat::Cnf &inputs, const sat::DratLog &log,
+                const std::vector<const VerdictRecord *> &recs);
 
     /** @name On-disk paths (exposed for tests) */
     /// @{

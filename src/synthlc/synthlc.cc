@@ -74,7 +74,7 @@ bmc::EngineConfig
 engineConfigFor(const designs::Harness &hx, const SynthLcConfig &config)
 {
     bmc::EngineConfig ec;
-    ec.bound = config.bound ? config.bound : hx.duv().completenessBound;
+    ec.bound = hx.duv().completenessBound;
     ec.budget = config.budget;
     ec.auditReplay = config.auditReplay;
     ec.auditProof = config.auditProof;

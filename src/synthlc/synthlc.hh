@@ -115,8 +115,6 @@ struct SynthLcConfig
     /** Per-query SAT budget; an Undetermined probe counts as no
      *  dependency, like an unreachable one (§VII-B3/B4). */
     sat::SatBudget budget{};
-    /** Unrolling bound; 0 = the DUV's completeness bound. */
-    unsigned bound = 0;
     /** Assumption schemes to evaluate (all four by default). */
     bool testIntrinsic = true;
     bool testDynamicOlder = true;
@@ -139,9 +137,10 @@ struct SynthLcConfig
      *  harness (rmpbench/src/oneshot.cc); delete it with that line. */
     sim::SimBackend simBackend = sim::SimBackend::Simd;
     /**
-     * Worker threads for parallel probe evaluation and taint simulation.
-     * 0 = hardware_concurrency(). Results are identical for every value
-     * (DESIGN.md §"Parallel evaluation").
+     * Worker threads for the taint-simulation batches.
+     * 0 = hardware_concurrency(). Probes run on the engine pool's one
+     * engine in submission order, so results are identical for every
+     * value (DESIGN.md §3d).
      */
     unsigned jobs = 0;
     /** Audit Reachable verdicts by simulator witness replay

@@ -201,8 +201,8 @@ TEST(Audit, AuditedVerdictsMatchUnaudited)
 TEST(Audit, PoolVerdictsJobsInvariantUnderAuditAndBudget)
 {
     // jobs=1 vs jobs=4 with auditing and a tight budget: same verdicts,
-    // zero mismatches, and the audit tallies themselves identical (lane
-    // assignment is jobs-independent by construction).
+    // zero mismatches, and the audit tallies themselves identical (every
+    // query runs on the pool's one engine in submission order).
     FactorDesign fd;
     EngineConfig cfg;
     cfg.bound = 2;
@@ -214,8 +214,8 @@ TEST(Audit, PoolVerdictsJobsInvariantUnderAuditAndBudget)
     for (uint64_t v : {60491ULL, 35ULL, 6ULL, 59989ULL, 12ULL, 143ULL})
         qs.push_back(Query{pEq(fd.prod, v), {}, -1});
 
-    EnginePool p1(fd.d, cfg, ExecConfig{1, 2});
-    EnginePool p4(fd.d, cfg, ExecConfig{4, 2});
+    EnginePool p1(fd.d, cfg, ExecConfig{.jobs = 1});
+    EnginePool p4(fd.d, cfg, ExecConfig{.jobs = 4});
     auto r1 = p1.evalBatch(qs);
     auto r4 = p4.evalBatch(qs);
     ASSERT_EQ(r1.size(), r4.size());
@@ -238,7 +238,7 @@ TEST(Audit, PoolVerdictsJobsInvariantUnderAuditAndBudget)
 TEST(Audit, CacheHitsDoNotReAudit)
 {
     CounterDesign cd;
-    EnginePool pool(cd.d, auditedCfg(10), ExecConfig{1, 2});
+    EnginePool pool(cd.d, auditedCfg(10), ExecConfig{.jobs = 1});
     Query q{pEq(cd.cnt, 7), {}, -1};
     CoverResult first = pool.eval(q);
     ASSERT_EQ(first.outcome, Outcome::Reachable);

@@ -1,15 +1,18 @@
 /**
  * @file
- * Tests for the parallel evaluation layer (src/exec): engine-pool eval
- * vs. a direct engine, cross-query memoization (hits replay identical
+ * Tests for the evaluation layer (src/exec): engine-pool eval vs. a
+ * direct engine, cross-query memoization (hits replay identical
  * results, including witnesses), in-batch deduplication, jobs-invariant
- * batch results, one shared unrolling per pool, SAT-budget exhaustion
- * surfacing end-to-end as Undetermined, and parallelFor coverage.
+ * batch results, one engine per pool answering in submission order,
+ * SAT-budget exhaustion surfacing end-to-end as Undetermined, and
+ * parallelFor coverage.
  */
 
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "exec/engine_pool.hh"
@@ -51,16 +54,18 @@ struct CounterDesign
 struct FactorDesign
 {
     Design d{"factor"};
-    SigId prod;
+    SigId a, b, prod;
 
     FactorDesign()
     {
-        Builder b(d);
-        Sig a = b.input("a", 16);
-        Sig x = b.input("b", 16);
-        RegSig p = b.regh("prod", 16, 0);
-        b.assign(p, a * x);
-        b.finalize();
+        Builder bld(d);
+        Sig ia = bld.input("a", 16);
+        Sig ib = bld.input("b", 16);
+        RegSig p = bld.regh("prod", 16, 0);
+        bld.assign(p, ia * ib);
+        bld.finalize();
+        a = ia.id;
+        b = ib.id;
         prod = p.q.id;
     }
 
@@ -83,6 +88,7 @@ expectSameResult(const CoverResult &a, const CoverResult &b, SigId watch)
     if (a.outcome != Outcome::Reachable)
         return;
     EXPECT_EQ(a.witness.matchFrame, b.witness.matchFrame);
+    EXPECT_EQ(a.witness.inputs, b.witness.inputs);
     ASSERT_EQ(a.witness.trace.numCycles(), b.witness.trace.numCycles());
     for (size_t t = 0; t < a.witness.trace.numCycles(); t++)
         EXPECT_EQ(a.witness.trace.value(t, watch),
@@ -98,7 +104,7 @@ TEST(Exec, EvalMatchesDirectEngine)
     Engine eng(cd.d, counterCfg());
     CoverResult direct = eng.cover(pEq(cd.cnt, 7), {});
 
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{1, 2});
+    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 1});
     CoverResult pooled = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
     expectSameResult(direct, pooled, cd.cnt);
     EXPECT_EQ(pooled.witness.matchFrame, 7u);
@@ -107,7 +113,7 @@ TEST(Exec, EvalMatchesDirectEngine)
 TEST(Exec, RepeatedQueryHitsCacheAndReplaysWitness)
 {
     CounterDesign cd;
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{1, 2});
+    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 1});
     CoverResult first = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
     CoverResult again = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
     expectSameResult(first, again, cd.cnt);
@@ -122,7 +128,7 @@ TEST(Exec, RepeatedQueryHitsCacheAndReplaysWitness)
 TEST(Exec, DistinctAssumesAndFramesAreDistinctCacheKeys)
 {
     CounterDesign cd;
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{1, 2});
+    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 1});
     CoverResult plain = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
     // Same cover under a tautological assume: a different cache key even
     // though the verdict cannot change.
@@ -142,7 +148,7 @@ TEST(Exec, DistinctAssumesAndFramesAreDistinctCacheKeys)
 TEST(Exec, BatchDeduplicatesAndPreservesOrder)
 {
     CounterDesign cd;
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{4, 2});
+    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 4});
     std::vector<Query> qs;
     for (unsigned v = 0; v < 4; v++)
         qs.push_back(Query{pEq(cd.cnt, v + 3), {}, -1});
@@ -163,7 +169,8 @@ TEST(Exec, BatchDeduplicatesAndPreservesOrder)
 
     PoolStats s = pool.stats();
     EXPECT_EQ(s.engine.queries, 5u); // 4 distinct reachable + 1 unreachable
-    EXPECT_EQ(s.cache.hits, 2u);     // the two in-batch duplicates
+    EXPECT_EQ(s.cache.hits, 2u);     // the two in-batch duplicates...
+    EXPECT_EQ(s.cache.misses, 5u);   // ...which never count as misses
 }
 
 TEST(Exec, BatchResultsAreJobsInvariant)
@@ -173,8 +180,8 @@ TEST(Exec, BatchResultsAreJobsInvariant)
     for (unsigned v = 0; v < 10; v++)
         qs.push_back(Query{pEq(cd.cnt, v), {}, -1});
 
-    EnginePool serial(cd.d, counterCfg(), ExecConfig{1, 4});
-    EnginePool threaded(cd.d, counterCfg(), ExecConfig{4, 4});
+    EnginePool serial(cd.d, counterCfg(), ExecConfig{.jobs = 1});
+    EnginePool threaded(cd.d, counterCfg(), ExecConfig{.jobs = 4});
     std::vector<CoverResult> a = serial.evalBatch(qs);
     std::vector<CoverResult> b = threaded.evalBatch(qs);
     ASSERT_EQ(a.size(), b.size());
@@ -186,30 +193,127 @@ TEST(Exec, BatchResultsAreJobsInvariant)
 
 TEST(Exec, PoolBuildsOneUnrolling)
 {
-    // Eight lanes built concurrently by four workers unroll the design
-    // once between them, and answer as a one-thread pool does.
+    // A four-worker pool unrolls the design once, for its one engine,
+    // and answers as a one-thread pool does.
     CounterDesign cd;
     std::vector<Query> qs;
     for (unsigned v = 0; v < 16; v++)
         qs.push_back(Query{pEq(cd.cnt, v), {}, -1});
-    EnginePool serial(cd.d, counterCfg(), ExecConfig{1, 8});
+    EnginePool serial(cd.d, counterCfg(), ExecConfig{.jobs = 1});
     std::vector<CoverResult> expected = serial.evalBatch(qs);
 
     obs::Counter &frames =
         obs::Registry::global().counter("bmc.unroll.frames");
     obs::setEnabled(true);
     uint64_t before = frames.value();
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{4, 8});
+    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 4});
     std::vector<CoverResult> got = pool.evalBatch(qs);
     uint64_t unrolled = frames.value() - before;
     obs::setEnabled(false);
     obs::clearTrace();
 
-    EXPECT_EQ(pool.stats().lanesBuilt, 8u);
+    EXPECT_EQ(pool.stats().lanesBuilt, 1u);
     EXPECT_EQ(unrolled, counterCfg().bound);
     ASSERT_EQ(got.size(), expected.size());
     for (size_t i = 0; i < got.size(); i++)
         expectSameResult(expected[i], got[i], cd.cnt);
+}
+
+TEST(Exec, PoolAnswersLikeOneEngineInSubmissionOrder)
+{
+    // The pool's contract: every cache-missed query runs on one engine,
+    // in submission order, whatever the thread count. Under a tight
+    // budget a verdict depends on what the engine solved before, so
+    // this holds only if the pool's engine sees exactly the direct
+    // engine's query sequence.
+    FactorDesign fd;
+    EngineConfig cfg;
+    cfg.bound = 3;
+    cfg.budget.maxConflicts = 10;
+    ExprRef nontrivial = pAnd(pNot(pEq(fd.a, 1)), pNot(pEq(fd.b, 1)));
+    auto cover = [&](uint64_t v, bool hard, int frame = -1) {
+        std::vector<ExprRef> assumes;
+        if (hard)
+            assumes.push_back(nontrivial);
+        return Query{pEq(fd.prod, v), assumes, frame};
+    };
+    // Two batches and three single evals; each duplicate repeats a query
+    // submitted earlier, in its own batch or an earlier call.
+    std::vector<std::vector<Query>> calls = {
+        {cover(FactorDesign::kSemiprime, true), cover(35, false),
+         cover(FactorDesign::kSemiprime, true), cover(59989, true),
+         cover(6, false)},
+        {cover(35, false)},
+        {cover(143, true)},
+        {cover(59989, true), cover(12, false, 1), cover(65521, true),
+         cover(143, true), cover(FactorDesign::kSemiprime, true, 2)},
+        {cover(65521, true)},
+    };
+    std::vector<Query> all;
+    for (const auto &c : calls)
+        all.insert(all.end(), c.begin(), c.end());
+    // First occurrences, by canonical key: the queries the pool solves.
+    uint64_t fp = designFingerprint(fd.d);
+    std::map<std::string, size_t> first_of;
+    std::vector<size_t> first(all.size());
+    for (size_t i = 0; i < all.size(); i++)
+        first[i] = first_of
+                       .try_emplace(makeQueryKeyBytes(fp, cfg, all[i].seq,
+                                                      all[i].assumes,
+                                                      all[i].fixedFrame),
+                                    i)
+                       .first->second;
+
+    auto run = [](Engine &e, const Query &q) {
+        return q.fixedFrame >= 0
+                   ? e.coverAt(q.seq, q.assumes,
+                               static_cast<unsigned>(q.fixedFrame))
+                   : e.cover(q.seq, q.assumes);
+    };
+    Engine eng(fd.d, cfg);
+    std::vector<CoverResult> direct(all.size());
+    size_t solved = 0, undetermined = 0, history_sensitive = 0;
+    for (size_t i = 0; i < all.size(); i++) {
+        if (first[i] != i)
+            continue;
+        direct[i] = run(eng, all[i]);
+        solved++;
+        undetermined += direct[i].outcome == Outcome::Undetermined;
+        Engine cold(fd.d, cfg);
+        history_sensitive += run(cold, all[i]).outcome != direct[i].outcome;
+    }
+    // The budget binds, and a query's verdict on a cold engine differs
+    // from its verdict after the queries before it.
+    EXPECT_GT(undetermined, 0u);
+    EXPECT_LT(undetermined, solved);
+    EXPECT_GT(history_sensitive, 0u);
+
+    for (unsigned jobs : {1u, 4u}) {
+        SCOPED_TRACE("jobs " + std::to_string(jobs));
+        EnginePool pool(fd.d, cfg, ExecConfig{.jobs = jobs});
+        std::vector<CoverResult> got;
+        for (const auto &c : calls) {
+            if (c.size() == 1) {
+                got.push_back(pool.eval(c.front()));
+            } else {
+                std::vector<CoverResult> rs = pool.evalBatch(c);
+                got.insert(got.end(), rs.begin(), rs.end());
+            }
+        }
+        ASSERT_EQ(got.size(), all.size());
+        for (size_t i = 0; i < all.size(); i++) {
+            SCOPED_TRACE("query " + std::to_string(i));
+            expectSameResult(direct[first[i]], got[i], fd.prod);
+        }
+        PoolStats s = pool.stats();
+        EXPECT_EQ(s.lanesBuilt, 1u);
+        EXPECT_EQ(s.engine.queries, solved);
+        EXPECT_EQ(s.cache.misses, solved);
+        EXPECT_EQ(s.cache.hits, all.size() - solved);
+        EXPECT_EQ(s.sat.conflicts, eng.satStats().conflicts);
+        EXPECT_EQ(s.sat.decisions, eng.satStats().decisions);
+        EXPECT_EQ(s.sat.propagations, eng.satStats().propagations);
+    }
 }
 
 TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)
@@ -230,7 +334,7 @@ TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)
     // Through the pool: same verdict, tallied in the merged EngineStats,
     // and the memoized verdict replays as a cache hit (the budget is part
     // of the cache key, so it cannot leak into differently-budgeted runs).
-    EnginePool pool(fd.d, cfg, ExecConfig{2, 2});
+    EnginePool pool(fd.d, cfg, ExecConfig{.jobs = 2});
     Query q{pEq(fd.prod, FactorDesign::kSemiprime), {}, -1};
     CoverResult pooled = pool.eval(q);
     EXPECT_EQ(pooled.outcome, Outcome::Undetermined);
@@ -244,7 +348,7 @@ TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)
     // A roomier budget is a different key and gets its own evaluation.
     EngineConfig roomy = cfg;
     roomy.budget.maxConflicts = 2'000'000;
-    EnginePool pool2(fd.d, roomy, ExecConfig{2, 2});
+    EnginePool pool2(fd.d, roomy, ExecConfig{.jobs = 2});
     CoverResult solved = pool2.eval(q);
     EXPECT_EQ(solved.outcome, Outcome::Reachable);
 }
@@ -252,7 +356,7 @@ TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)
 TEST(Exec, ParallelForRunsEveryIndexExactlyOnce)
 {
     CounterDesign cd;
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{4, 2});
+    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 4});
     std::vector<std::atomic<int>> seen(257);
     for (auto &s : seen)
         s = 0;

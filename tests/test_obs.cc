@@ -295,17 +295,16 @@ struct CounterDesign
 
 TEST_F(ObsTest, PoolCacheCountersExactUnderConcurrentLoad)
 {
-    // Satellite: QueryCache hit/miss counters live in the registry now;
-    // they must stay exact when a jobs=4 pool evaluates a batch full of
-    // duplicates. 16 distinct queries, each submitted 4 times: every
-    // submission probes the (still empty) cache in the serial pass (64
-    // misses), the 16 unique units solve once each (16 entries), and
-    // the 48 in-batch duplicates are then served from the published
-    // entries (48 hits) — exactly, on every run.
+    // QueryCache hit/miss counters live in the registry; they must stay
+    // exact when a jobs=4 pool evaluates a batch full of duplicates. 16
+    // distinct queries, each submitted 4 times: the first submission of
+    // each misses and solves (16 misses, 16 entries), and the 48 later
+    // ones are served from the published entries (48 hits) — exactly,
+    // on every run.
     CounterDesign cd;
     bmc::EngineConfig ecfg;
     ecfg.bound = 18;
-    exec::EnginePool pool(cd.d, ecfg, exec::ExecConfig{4, 0});
+    exec::EnginePool pool(cd.d, ecfg, exec::ExecConfig{.jobs = 4});
     std::vector<exec::Query> qs;
     for (unsigned rep = 0; rep < 4; rep++)
         for (unsigned v = 0; v < 16; v++)
@@ -316,18 +315,18 @@ TEST_F(ObsTest, PoolCacheCountersExactUnderConcurrentLoad)
     for (const auto &r : rs)
         EXPECT_EQ(r.outcome, bmc::Outcome::Reachable);
     exec::CacheStats cs = pool.stats().cache;
-    EXPECT_EQ(cs.misses, 64u);
+    EXPECT_EQ(cs.misses, 16u);
     EXPECT_EQ(cs.hits, 48u);
     EXPECT_EQ(cs.entries, 16u);
 
     // A second pool (its own cache instance) tallies independently: the
     // first pool's numbers must not move.
-    exec::EnginePool pool2(cd.d, ecfg, exec::ExecConfig{2, 0});
+    exec::EnginePool pool2(cd.d, ecfg, exec::ExecConfig{.jobs = 2});
     auto r2 = pool2.eval(exec::Query{prop::pEq(cd.cnt, 3), {}, -1});
     EXPECT_EQ(r2.outcome, bmc::Outcome::Reachable);
     EXPECT_EQ(pool2.stats().cache.misses, 1u);
     EXPECT_EQ(pool2.stats().cache.hits, 0u);
-    EXPECT_EQ(pool.stats().cache.misses, 64u);
+    EXPECT_EQ(pool.stats().cache.misses, 16u);
     EXPECT_EQ(pool.stats().cache.hits, 48u);
 }
 
@@ -342,11 +341,11 @@ TEST_F(ObsTest, PoolInstrumentationDoesNotChangeVerdicts)
     for (unsigned v = 0; v < 16; v++)
         qs.push_back(exec::Query{prop::pEq(cd.cnt, v), {}, -1});
 
-    exec::EnginePool off(cd.d, ecfg, exec::ExecConfig{4, 0});
+    exec::EnginePool off(cd.d, ecfg, exec::ExecConfig{.jobs = 4});
     auto r_off = off.evalBatch(qs);
 
     setEnabled(true);
-    exec::EnginePool on(cd.d, ecfg, exec::ExecConfig{4, 0});
+    exec::EnginePool on(cd.d, ecfg, exec::ExecConfig{.jobs = 4});
     auto r_on = on.evalBatch(qs);
     setEnabled(false);
 

@@ -465,6 +465,67 @@ TEST(VerdictStore, AssumptionUnsatVerdictReproves)
     fs::remove_all(root);
 }
 
+TEST(VerdictStore, SharedReplayFailsOnlyRecordsPastABadStep)
+{
+    // Three records over one context, as one engine writes them: the
+    // first record's prefix is a genuine refutation, and the context
+    // then gains a step that is not RUP. verify() replays the three
+    // prefixes on one checker; only the two records whose prefix
+    // includes the bad step may fail.
+    auto lit = [](sat::Var v, bool s) { return sat::Lit(v, s); };
+    sat::Solver solver;
+    sat::DratLogRecorder rec_sink;
+    solver.setProofSink(&rec_sink);
+    sat::Var a = solver.newVar(), b = solver.newVar(),
+             x = solver.newVar(), y = solver.newVar();
+    solver.addClause({lit(a, true), lit(x, false)});  // a -> x
+    solver.addClause({lit(b, true), lit(y, false)});  // b -> y
+    solver.addClause({lit(x, true), lit(y, true)});   // not both
+    std::vector<sat::Lit> assumes = {lit(a, false), lit(b, false)};
+    ASSERT_EQ(solver.solve(assumes), sat::SatResult::Unsat);
+    const uint64_t good_steps = rec_sink.log().size();
+    // "x" alone does not follow from the clauses by unit propagation.
+    rec_sink.onDerive({lit(x, false)});
+    rec_sink.onDelete({lit(x, false)});
+    const sat::DratLog &log = rec_sink.log();
+    ASSERT_EQ(log.size(), good_steps + 2);
+
+    std::string root = makeTempRoot();
+    std::string late_paths;
+    {
+        VerdictStore st(root);
+        ASSERT_TRUE(st.enabled());
+        Hash128 blob;
+        ASSERT_TRUE(st.putBlob(VerdictStore::serializeProofContext(
+                                   rec_sink.inputs(), log),
+                               &blob));
+        for (uint64_t steps : {good_steps + 2, good_steps, good_steps + 1}) {
+            VerdictRecord rec;
+            rec.outcome = 1; // Unreachable
+            rec.hasProof = true;
+            rec.proofBlob = blob;
+            rec.proofInputCount = rec_sink.inputs().clauses.size();
+            rec.proofStepCount = steps;
+            for (sat::Lit l : assumes)
+                rec.assumptions.push_back(l.x);
+            ASSERT_TRUE(st.put(steps, 0x5eed, "shared-replay-key", rec));
+            if (steps > good_steps)
+                late_paths += st.recordPath(steps, 0x5eed) + "\n";
+        }
+    }
+    VerdictStore st(root);
+    VerifySummary v = st.verify();
+    EXPECT_EQ(v.proofs, 3u);
+    EXPECT_EQ(v.proofsOk, 1u);
+    EXPECT_EQ(v.proofsFailed, 2u);
+    size_t colon = v.firstFailure.find(": ");
+    ASSERT_NE(colon, std::string::npos) << v.firstFailure;
+    EXPECT_NE(late_paths.find(v.firstFailure.substr(0, colon) + "\n"),
+              std::string::npos)
+        << v.firstFailure;
+    fs::remove_all(root);
+}
+
 /**
  * End-to-end: a cold synthesis populates the store (records + DRAT
  * blobs); a second, fresh synthesizer answers from it with zero solver

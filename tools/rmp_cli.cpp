@@ -90,7 +90,8 @@ usage(std::FILE *f)
         "  --budget N     per-query SAT conflict budget (default 20000)\n"
         "  --closure      run the full BMC closure queries (slow, formal)\n"
         "  --counts       enumerate revisit cycle counts (mode (i))\n"
-        "  --jobs N       worker threads for property evaluation\n"
+        "  --jobs N       worker threads for simulation batches; covers\n"
+        "                 run on one engine in submission order\n"
         "                 (0 to %u; default 0: hardware concurrency;\n"
         "                 verdicts are identical for every value)\n"
         "  --sim-lanes N  SoA lanes per compiled-simulation batch\n"
