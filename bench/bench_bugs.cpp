@@ -42,7 +42,7 @@ reaches(const McvaConfig &cfg, const char *instr, const char *pl_name)
             pl = p;
     r2m::SimExploreConfig ec;
     ec.runs = 2000;
-    r2m::SimFacts f = r2m::exploreSim(hx, id, ec);
+    r2m::SimFacts f = r2m::exploreSim(hx, id, ec, 0);
     if (f.iuvPls.count(pl))
         return true;
     bmc::EngineConfig cfg2;

@@ -7,10 +7,10 @@
  * The catalog is eight jobs over four designs — tiny3 / tiny3-zs with
  * the closure queries, dcache and a budget-capped mcva-op without —
  * with per-key budgets searched so the routing hash bin-packs the keys
- * across the four workers by measured cost. Every job is pinned to a
- * single-threaded engine pool (jobs=1), so the one-worker pass is the
- * serial baseline and the four-worker pass exposes exactly the pool's
- * key-level concurrency.
+ * across the four workers by measured cost. Every job runs with
+ * jobs=1, so its simulation stays on its worker thread: the one-worker
+ * pass is the serial baseline and the four-worker pass exposes exactly
+ * the daemon's key-level concurrency.
  *
  * Equivalence is the exit code, not the timing: each key's render and
  * uPATH/decision tallies must be byte-identical between the two passes
@@ -274,9 +274,9 @@ main()
 
     unsigned cores = std::max(1u, std::thread::hardware_concurrency());
     double speedup = wallN > 0 ? wall1 / wallN : 0;
-    // The parallel target needs the hardware to exist: the admission
-    // gate deliberately serializes the pool on smaller hosts, where the
-    // honest ratio is ~1x and identity is the meaningful check.
+    // The parallel target needs the hardware to exist: on smaller hosts
+    // the four workers share fewer cores, the honest ratio is ~1x and
+    // identity is the meaningful check.
     bool wantSpeedup = cores >= kWorkers;
     std::printf("  renders byte-identical across worker counts: %s\n",
                 identical ? "yes" : "NO");

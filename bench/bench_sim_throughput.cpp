@@ -50,11 +50,11 @@ struct EngineRun
  *  below re-derives and compares the exact same facts. */
 void
 exploreAll(const Harness &hx, const r2m::SimExploreConfig &cfg,
-           EngineRun &er)
+           unsigned threads, EngineRun &er)
 {
     auto t0 = std::chrono::steady_clock::now();
     for (uhb::InstrId i = 0; i < hx.duv().instrs.size(); i++)
-        r2m::exploreSim(hx, i, cfg);
+        r2m::exploreSim(hx, i, cfg, threads);
     er.wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
             .count();
@@ -68,11 +68,11 @@ exploreAll(const Harness &hx, const r2m::SimExploreConfig &cfg,
  *  interpreted reference, freeing as it goes. */
 bool
 factsAgree(const Harness &hx, const r2m::SimExploreConfig &icfg,
-           const r2m::SimExploreConfig &ccfg)
+           const r2m::SimExploreConfig &ccfg, unsigned threads)
 {
     for (uhb::InstrId i = 0; i < hx.duv().instrs.size(); i++)
-        if (!r2m::factsEqual(r2m::exploreSim(hx, i, icfg),
-                             r2m::exploreSim(hx, i, ccfg)))
+        if (!r2m::factsEqual(r2m::exploreSim(hx, i, icfg, 1),
+                             r2m::exploreSim(hx, i, ccfg, threads)))
             return false;
     return true;
 }
@@ -139,7 +139,7 @@ main()
         r2m::SimExploreConfig icfg = cfg;
         icfg.engine = r2m::SimEngine::Interpreted;
         EngineRun interp;
-        exploreAll(hx, icfg, interp);
+        exploreAll(hx, icfg, 1, interp);
         std::printf("  interpreted: %10.0f cycles/s  (%.2fs)\n",
                     interp.cyclesPerSec, interp.wall);
 
@@ -154,15 +154,14 @@ main()
                 r2m::SimExploreConfig ccfg = cfg;
                 ccfg.engine = r2m::SimEngine::Compiled;
                 ccfg.lanes = lanes;
-                ccfg.threads = threads;
                 EngineRun er;
-                exploreAll(hx, ccfg, er);
+                exploreAll(hx, ccfg, threads, er);
                 double speedup = interp.wall > 0 && er.wall > 0
                                      ? interp.wall / er.wall
                                      : 0;
                 r2m::SimExploreConfig eqCcfg = ccfg;
                 eqCcfg.runs = eqRuns;
-                bool fm = factsAgree(hx, eqIcfg, eqCcfg);
+                bool fm = factsAgree(hx, eqIcfg, eqCcfg, threads);
                 factsMatch = factsMatch && fm;
 
                 const std::string label = "P=" + std::to_string(lanes) +

@@ -1,12 +1,7 @@
 #include "exec/engine_pool.hh"
 
-#include <algorithm>
-#include <atomic>
-
 #include "common/interrupt.hh"
 #include "common/logging.hh"
-#include "exec/admission.hh"
-#include "obs/progress.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
 
@@ -25,51 +20,13 @@ EnginePool::EnginePool(const Design &design,
         engCfg.captureProof = true;
         cache_.attachStore(store_);
     }
-    unsigned hw = std::thread::hardware_concurrency();
-    jobs_ = exec_cfg.jobs ? exec_cfg.jobs : std::max(1u, hw);
-    // Warm the design's lazy topo-order cache before any worker can race
-    // on it; every later const access is then read-only.
+    // Warm the design's lazy topo-order cache before the owner fans
+    // simulation out over it (exploration, SynthLC's taint batches):
+    // every later const access from those threads is then read-only.
     d.topoOrder();
-    if (jobs_ > 1) {
-        workers.reserve(jobs_);
-        for (unsigned i = 0; i < jobs_; i++)
-            workers.emplace_back([this] { workerLoop(); });
-    }
 }
 
-EnginePool::~EnginePool()
-{
-    flushStore();
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        stopping = true;
-    }
-    cvWork.notify_all();
-    for (auto &w : workers)
-        w.join();
-}
-
-void
-EnginePool::workerLoop()
-{
-    for (;;) {
-        std::function<void()> task;
-        {
-            std::unique_lock<std::mutex> lock(mu);
-            cvWork.wait(lock, [this] { return stopping || !tasks_.empty(); });
-            if (tasks_.empty())
-                return; // stopping, queue drained
-            task = std::move(tasks_.front());
-            tasks_.pop_front();
-        }
-        task();
-        {
-            std::lock_guard<std::mutex> lock(mu);
-            pending--;
-        }
-        cvDone.notify_all();
-    }
-}
+EnginePool::~EnginePool() { flushStore(); }
 
 bmc::CoverResult
 EnginePool::eval(const Query &q)
@@ -142,56 +99,6 @@ EnginePool::evalBatch(const std::vector<Query> &qs)
     for (const Query &q : qs)
         results.push_back(eval(q));
     return results;
-}
-
-void
-EnginePool::parallelFor(size_t n, const std::function<void(size_t)> &fn)
-{
-    obs::Span span("parallel-for", "exec");
-    span.arg("n", n);
-    if (workers.empty() || n <= 1) {
-        for (size_t i = 0; i < n; i++)
-            fn(i);
-        return;
-    }
-    const size_t width = std::min<size_t>(jobs_, n);
-    // Pool worker threads inherit the submitting thread's progress sink
-    // for the duration of this call — daemon workers install a per-job
-    // sink thread-locally, and the layers that report from inside
-    // parallelFor (sim exploration, sim-filter) must reach the same
-    // client. The call blocks until every task is done, so the tasks
-    // may reference this frame.
-    obs::ProgressSink *sink = obs::threadProgressSink();
-    std::atomic<size_t> next{0};
-    auto task = [&next, n, &fn, sink] {
-        obs::ScopedProgressSink scoped(sink);
-        for (size_t i = next++; i < n; i = next++)
-            fn(i);
-    };
-    // Admission: concurrent pools (one per daemon worker) each size
-    // themselves for the whole machine; the global gate caps the summed
-    // parallelism so N heavy jobs don't oversubscribe the cores.
-    // Scheduling only — fn writes index-distinct state, so results are
-    // identical whether the call admits immediately or waits.
-    uint64_t admit0 = obs::enabled() ? obs::nowNs() : 0;
-    AdmissionTicket ticket(static_cast<unsigned>(width));
-    if (admit0) {
-        obs::Registry &reg = obs::Registry::global();
-        reg.counter("exec.admission_acquires").add(1);
-        reg.histogram("exec.admission_wait_ns")
-            .record(obs::nowNs() - admit0);
-        reg.gauge("exec.admission_inflight")
-            .set(AdmissionGate::global().stats().inflight);
-    }
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        pending += width;
-        for (size_t t = 0; t < width; t++)
-            tasks_.emplace_back(task);
-    }
-    cvWork.notify_all();
-    std::unique_lock<std::mutex> lock(mu);
-    cvDone.wait(lock, [this] { return pending == 0; });
 }
 
 void

@@ -1,7 +1,7 @@
 /**
  * @file
  * Cover-query evaluation: one BMC engine per pool behind a cross-query
- * memoization cache, plus worker threads for data-parallel simulation.
+ * memoization cache.
  *
  * The paper leans on JasperGold's proof-grid parallelism to evaluate the
  * thousands of template-instantiated cover properties RTL2MμPATH and
@@ -9,8 +9,8 @@
  * equivalent. Every cache-missed query runs on the pool's one
  * bmc::Engine, on the calling thread, in submission order: one warm
  * solver learns once what several cold solvers would each re-derive
- * (DESIGN.md §3d). The pool's worker threads serve only parallelFor():
- * simulation exploration and SynthLC's taint-simulation batches.
+ * (DESIGN.md §3d). The pool owns no thread; simulation fans out over
+ * the process's one worker pool instead (exec/parallel.hh).
  *
  * Determinism: a query's verdict can depend on its engine's history
  * (learned clauses shift which queries exhaust a SAT budget). The one
@@ -22,12 +22,7 @@
 #ifndef EXEC_ENGINE_POOL_HH
 #define EXEC_ENGINE_POOL_HH
 
-#include <condition_variable>
-#include <deque>
-#include <functional>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <vector>
 
 #include "bmc/engine.hh"
@@ -45,11 +40,9 @@ struct Query
     int fixedFrame = -1;
 };
 
-/** Pool sizing. */
+/** Pool configuration. */
 struct ExecConfig
 {
-    /** Worker threads for parallelFor(); 0 = hardware_concurrency(). */
-    unsigned jobs = 0;
     /**
      * Persistent verdict store (not owned; nullptr = none). When set
      * (and enabled), the pool turns on bmc proof capture, attaches the
@@ -89,9 +82,8 @@ struct PoolStats
  * synthesizers own one and submit every BMC query through it.
  *
  * Threading contract: a single orchestrator thread calls eval()/
- * evalBatch()/parallelFor()/flushStore(); the calls block until the
- * submitted work is complete. Worker threads never submit work
- * themselves.
+ * evalBatch()/flushStore(). Simulation tasks on other threads may read
+ * the design meanwhile.
  */
 class EnginePool
 {
@@ -115,13 +107,6 @@ class EnginePool
     std::vector<bmc::CoverResult> evalBatch(const std::vector<Query> &qs);
 
     /**
-     * Generic data parallelism on the workers (no engine touched): run
-     * fn(0..n-1) across the pool. Used for simulation batches. @p fn
-     * must only write to index-distinct state.
-     */
-    void parallelFor(size_t n, const std::function<void(size_t)> &fn);
-
-    /**
      * Publish all deferred Unreachable-with-proof records: serialize the
      * engine's proof context once (content-addressed, so repeat flushes
      * of a grown context write new bytes and of a stable one dedup),
@@ -130,7 +115,6 @@ class EnginePool
      */
     void flushStore();
 
-    unsigned jobs() const { return jobs_; }
     unsigned bound() const { return engCfg.bound; }
     const Design &design() const { return d; }
     const bmc::EngineConfig &engineConfig() const { return engCfg; }
@@ -138,8 +122,6 @@ class EnginePool
     PoolStats stats() const;
 
   private:
-    void workerLoop();
-
     /** One deferred store write awaiting its proof-context blob. */
     struct PendingProof
     {
@@ -151,23 +133,12 @@ class EnginePool
     const Design &d;
     bmc::EngineConfig engCfg;
     uint64_t designFp;
-    unsigned jobs_ = 1;
     store::VerdictStore *store_ = nullptr;
     std::vector<PendingProof> pendingProofs_;
     /** Built on the first cache miss, never in the constructor, so
      *  set-up does not pay for the unrolling. */
     std::unique_ptr<bmc::Engine> engine_;
     QueryCache cache_;
-
-    /** @name Worker machinery for parallelFor (only when jobs > 1) */
-    /// @{
-    std::mutex mu;
-    std::condition_variable cvWork, cvDone;
-    std::deque<std::function<void()>> tasks_;
-    size_t pending = 0;
-    bool stopping = false;
-    std::vector<std::thread> workers;
-    /// @}
 };
 
 } // namespace rmp::exec

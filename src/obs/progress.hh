@@ -49,7 +49,7 @@ void setProgressSink(ProgressSink *sink);
  * one, so concurrent jobs — e.g. daemon workers streaming progress to
  * different clients — do not interleave their updates. Pool worker
  * threads inherit the submitting thread's sink for the duration of a
- * task batch (see exec::EnginePool).
+ * fan-out (see exec::parallelFor).
  */
 void setThreadProgressSink(ProgressSink *sink);
 

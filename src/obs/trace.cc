@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <fstream>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <sstream>
@@ -26,7 +25,6 @@ struct Event
     const char *cat;
     uint64_t ts;  ///< start, ns (steady clock)
     uint64_t dur; ///< ns
-    int32_t track;
     const char *keys[Span::kMaxArgs];
     uint64_t vals[Span::kMaxArgs];
     uint8_t nargs;
@@ -46,11 +44,10 @@ struct ThreadBuf
 
 struct TraceState
 {
-    std::mutex mu; ///< guards bufs / trackNames / epoch / nextTid
+    std::mutex mu; ///< guards bufs / epoch / nextTid
     std::vector<std::unique_ptr<ThreadBuf>> bufs;
-    std::map<int32_t, std::string> trackNames;
     uint64_t epochNs = 0;
-    uint32_t nextTid = 1000; ///< thread tracks; explicit tracks sit below
+    uint32_t nextTid = 1000; ///< one track per recording thread
 };
 
 TraceState &
@@ -61,7 +58,6 @@ state()
 }
 
 thread_local ThreadBuf *tl_buf = nullptr;
-thread_local int32_t tl_track = kNoTrack;
 
 ThreadBuf &
 threadBuf()
@@ -74,19 +70,6 @@ threadBuf()
         tl_buf = s.bufs.back().get();
     }
     return *tl_buf;
-}
-
-std::string
-jsonEscape(const std::string &in)
-{
-    std::string out;
-    for (char c : in) {
-        if (c == '"' || c == '\\')
-            out += '\\';
-        if (static_cast<unsigned char>(c) >= 0x20)
-            out += c;
-    }
-    return out;
 }
 
 } // anonymous namespace
@@ -112,7 +95,6 @@ Span::finish()
     e.cat = cat_;
     e.ts = t0_;
     e.dur = t1 - t0_;
-    e.track = tl_track;
     e.nargs = static_cast<uint8_t>(nargs_);
     for (int i = 0; i < nargs_; i++) {
         e.keys[i] = keys_[i];
@@ -121,21 +103,6 @@ Span::finish()
     ThreadBuf &b = threadBuf();
     std::lock_guard<std::mutex> lock(b.mu);
     b.events.push_back(e);
-}
-
-ScopedTrack::ScopedTrack(int32_t track) : prev_(tl_track)
-{
-    tl_track = track;
-}
-
-ScopedTrack::~ScopedTrack() { tl_track = prev_; }
-
-void
-setTrackName(int32_t track, const std::string &name)
-{
-    TraceState &s = state();
-    std::lock_guard<std::mutex> lock(s.mu);
-    s.trackNames[track] = name;
 }
 
 size_t
@@ -165,7 +132,6 @@ clearTrace()
         std::lock_guard<std::mutex> lock(s.mu);
         for (auto &b : s.bufs)
             bufs.push_back(b.get());
-        s.trackNames.clear();
     }
     for (ThreadBuf *b : bufs) {
         std::lock_guard<std::mutex> lock(b->mu);
@@ -178,13 +144,11 @@ traceJson()
 {
     TraceState &s = state();
     std::vector<ThreadBuf *> bufs;
-    std::map<int32_t, std::string> names;
     uint64_t epoch;
     {
         std::lock_guard<std::mutex> lock(s.mu);
         for (auto &b : s.bufs)
             bufs.push_back(b.get());
-        names = s.trackNames;
         epoch = s.epochNs;
     }
     struct Rec
@@ -196,8 +160,7 @@ traceJson()
     for (ThreadBuf *b : bufs) {
         std::lock_guard<std::mutex> lock(b->mu);
         for (const Event &e : b->events)
-            recs.push_back(
-                {e, e.track >= 0 ? static_cast<uint32_t>(e.track) : b->tid});
+            recs.push_back({e, b->tid});
     }
     std::stable_sort(recs.begin(), recs.end(),
                      [](const Rec &a, const Rec &b) {
@@ -213,12 +176,6 @@ traceJson()
         first = false;
         os << "\n";
     };
-    for (const auto &[track, name] : names) {
-        sep();
-        os << "{\"ph\": \"M\", \"pid\": 1, \"tid\": " << track
-           << ", \"name\": \"thread_name\", \"args\": {\"name\": \""
-           << jsonEscape(name) << "\"}}";
-    }
     char buf[64];
     for (const Rec &r : recs) {
         sep();

@@ -16,9 +16,7 @@
  * outlive the trace); args are numeric key/value pairs stored inline,
  * so recording a span never allocates.
  *
- * Tracks: by default an event lands on the recording thread's track.
- * ScopedTrack overrides the track for everything recorded in its scope,
- * and setTrackName() labels a track in the export.
+ * An event lands on the track of the thread that records it.
  * exportChromeTrace()/traceJson() emit the Trace Event Format JSON that
  * chrome://tracing and Perfetto load directly.
  */
@@ -33,9 +31,6 @@
 
 namespace rmp::obs
 {
-
-/** No track override. */
-constexpr int32_t kNoTrack = -1;
 
 /** An RAII trace span ("X" complete event in the chrome trace). */
 class Span
@@ -86,27 +81,10 @@ class Span
     int nargs_ = 0;
 };
 
-/** Route spans recorded in this scope onto track @p track. */
-class ScopedTrack
-{
-  public:
-    explicit ScopedTrack(int32_t track);
-    ~ScopedTrack();
-
-    ScopedTrack(const ScopedTrack &) = delete;
-    ScopedTrack &operator=(const ScopedTrack &) = delete;
-
-  private:
-    int32_t prev_;
-};
-
-/** Name a track (rendered as the thread name in Perfetto). */
-void setTrackName(int32_t track, const std::string &name);
-
 /** Total spans recorded so far (across all threads). */
 size_t eventCount();
 
-/** Drop all recorded events and track names (buffers stay registered). */
+/** Drop all recorded events (buffers stay registered). */
 void clearTrace();
 
 /** The full trace as chrome Trace Event Format JSON. */

@@ -22,7 +22,6 @@
 #include <vector>
 
 #include "analysis/lint.hh"
-#include "exec/admission.hh"
 #include "exec/engine_pool.hh"
 
 namespace rmp::report
@@ -235,18 +234,6 @@ storeStatsJson(const store::StoreStats &s)
     j.put("writes", s.writes);
     j.put("blob_writes", s.blobWrites);
     j.put("blob_dedups", s.blobDedups);
-    return j.str();
-}
-
-/** Render the global admission gate's counters as a JSON object. */
-inline std::string
-admissionStatsJson(const exec::AdmissionGate::Stats &s)
-{
-    JsonReport j;
-    j.put("capacity", static_cast<uint64_t>(s.capacity));
-    j.put("inflight", static_cast<uint64_t>(s.inflight));
-    j.put("acquisitions", s.acquisitions);
-    j.put("wait_ns", s.waitNs);
     return j.str();
 }
 

@@ -1,13 +1,14 @@
 #include "rtl2mupath/sim_explore.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <optional>
 #include <random>
 #include <set>
-#include <thread>
 #include <utility>
 
 #include "common/logging.hh"
+#include "exec/parallel.hh"
 #include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -275,7 +276,7 @@ mix64(uint64_t x)
 }
 
 /** Per-run seed: runs are independent streams, so any partition of the
- *  run space onto lanes and threads replays identically. */
+ *  run space onto lanes and slots replays identically. */
 uint64_t
 runSeed(uint64_t seed, InstrId iuv, unsigned run)
 {
@@ -322,17 +323,19 @@ runsInterpreted(const designs::Harness &hx, InstrId iuv,
     }
 }
 
-/** Compiled engine: lanes-wide BatchSim batches fanned over threads.
- *  Thread k owns batches k, k+T, ...; every run writes only its own
- *  rows of the pre-sized summaries, so workers share nothing mutable.
- *  A batch stops stepping as soon as every lane's IUV has retired;
- *  post-retirement cycles cannot change any fact, so the summaries
- *  stay bit-identical to a full-bound simulation. */
+/** Compiled engine: lanes-wide BatchSim batches fanned out over
+ *  @p slots slots. Each slot owns one BatchSim and claims batches from
+ *  a shared counter, so a slot whose thread starts late leaves no batch
+ *  waiting for it; every run writes only its own rows of the pre-sized
+ *  summaries, so slots share nothing else mutable. A batch stops
+ *  stepping as soon as every lane's IUV has retired; post-retirement
+ *  cycles cannot change any fact, so the summaries stay bit-identical
+ *  to a full-bound simulation. */
 void
 runsCompiled(const designs::Harness &hx, InstrId iuv,
              const SimExploreConfig &cfg, unsigned bound,
              const WatchPlan &plan, const sim::Tape &tape, unsigned lanes,
-             unsigned threads, RunSummaries &sum)
+             unsigned slots, RunSummaries &sum)
 {
     const Design &design = hx.design();
     const DuvInfo &info = hx.duv();
@@ -340,8 +343,12 @@ runsCompiled(const designs::Harness &hx, InstrId iuv,
     const size_t num_edges = hx.edgeObservers().size();
     const MarkSigs marks = lookupMarks(design);
     const unsigned nbatch = (cfg.runs + lanes - 1) / lanes;
+    std::atomic<unsigned> next_batch{0};
 
-    auto work = [&](unsigned tid) {
+    exec::parallelFor(slots, slots, [&](size_t) {
+        unsigned b = next_batch++;
+        if (b >= nbatch)
+            return;
         sim::BatchSim bs(tape, lanes);
         bs.reserveTrace(bound);
         struct LaneCtx
@@ -350,7 +357,7 @@ runsCompiled(const designs::Harness &hx, InstrId iuv,
             std::optional<StimGen> gen;
         };
         std::vector<std::pair<SigId, uint64_t>> pairs;
-        for (unsigned b = tid; b < nbatch; b += threads) {
+        for (; b < nbatch; b = next_batch++) {
             const unsigned r0 = b * lanes;
             const unsigned active = std::min(lanes, cfg.runs - r0);
             bs.reset();
@@ -406,18 +413,7 @@ runsCompiled(const designs::Harness &hx, InstrId iuv,
                                });
             }
         }
-    };
-
-    if (threads <= 1) {
-        work(0);
-    } else {
-        std::vector<std::thread> pool;
-        pool.reserve(threads);
-        for (unsigned tid = 0; tid < threads; tid++)
-            pool.emplace_back(work, tid);
-        for (auto &th : pool)
-            th.join();
-    }
+    });
 }
 
 /**
@@ -462,7 +458,7 @@ materializeWitness(const designs::Harness &hx, const WatchPlan &plan,
 
 /**
  * Fold one run's summary into the facts. Runs are merged serially in run
- * order regardless of which engine / lane / thread produced them — this
+ * order regardless of which engine / lane / slot produced them — this
  * is what makes SimFacts engine- and parallelism-invariant. @p scratch
  * vectors are reused across runs (zero allocations in the common case).
  */
@@ -587,7 +583,7 @@ randomConstrainedRun(const designs::Harness &hx, const Design &design,
 
 SimFacts
 exploreSim(const designs::Harness &hx, InstrId iuv,
-           const SimExploreConfig &cfg)
+           const SimExploreConfig &cfg, unsigned width)
 {
     SimFacts facts;
     if (cfg.runs == 0)
@@ -596,10 +592,10 @@ exploreSim(const designs::Harness &hx, InstrId iuv,
     const WatchPlan plan = makeWatchPlan(hx);
     const unsigned lanes =
         std::clamp(cfg.lanes, 1U, sim::kMaxLanes);
-    // At most one thread per batch: a thread past the last batch would
-    // have nothing to do.
-    const unsigned threads =
-        std::clamp(cfg.threads, 1U, (cfg.runs + lanes - 1) / lanes);
+    // At most one slot per batch: a slot past the last batch would have
+    // nothing to do.
+    const unsigned slots = std::min(exec::fanOutWidth(width),
+                                    (cfg.runs + lanes - 1) / lanes);
     const bool compiled = cfg.engine == SimEngine::Compiled;
 
     obs::Span span("sim-explore", "sim");
@@ -607,7 +603,7 @@ exploreSim(const designs::Harness &hx, InstrId iuv,
         span.arg("iuv", iuv);
         span.arg("runs", cfg.runs);
         span.arg("lanes", compiled ? lanes : 1);
-        span.arg("threads", compiled ? threads : 1);
+        span.arg("threads", compiled ? slots : 1);
     }
 
     RunSummaries sum(cfg.runs, bound, hx.numPls(),
@@ -615,8 +611,7 @@ exploreSim(const designs::Harness &hx, InstrId iuv,
 
     if (compiled) {
         sim::Tape tape = sim::compileTape(hx.design(), plan.sigs);
-        runsCompiled(hx, iuv, cfg, bound, plan, tape, lanes, threads,
-                     sum);
+        runsCompiled(hx, iuv, cfg, bound, plan, tape, lanes, slots, sum);
     } else {
         runsInterpreted(hx, iuv, cfg, bound, plan, sum);
     }

@@ -14,11 +14,12 @@
  *
  * Exploration runs on the compiled batched engine (sim::BatchSim) by
  * default: runs are seeded per (seed, iuv, run index), stepped in
- * multi-lane lockstep batches fanned across worker threads, and only the
- * harness watch set (PL trackers, iuvGone, fetchReady, edge observers) is
- * recorded. Per-run results are merged into facts serially in run order,
- * so the produced SimFacts are bit-identical across engines and across
- * any lane/thread count (DESIGN.md §3h). The interpreted engine remains
+ * multi-lane lockstep batches fanned out over the process's worker pool
+ * (exec::parallelFor) at the caller's width, and only the harness watch
+ * set (PL trackers, iuvGone, fetchReady, edge observers) is recorded.
+ * Per-run results are merged into facts serially in run order, so the
+ * produced SimFacts are bit-identical across engines and across any
+ * lane count or width (DESIGN.md §3h). The interpreted engine remains
  * available as the reference oracle (SimEngine::Interpreted).
  */
 
@@ -42,7 +43,7 @@ namespace rmp::r2m
 
 /** Which simulation engine drives the exploration runs. */
 enum class SimEngine : uint8_t {
-    Compiled,    ///< op-tape BatchSim, multi-lane, multi-thread
+    Compiled,    ///< op-tape BatchSim, multi-lane, fanned out
     Interpreted, ///< scalar reference Simulator (the oracle)
 };
 
@@ -70,8 +71,9 @@ struct SimExploreConfig
      * [1, sim::kMaxLanes]). Results are lane-count invariant.
      */
     unsigned lanes = sim::kDefaultLanes;
-    /** Worker threads fanning batches; results are thread-count
-     *  invariant. */
+    /** Ignored: exploreSim() takes its width as an argument. Its only
+     *  writer is `c.explore.threads = kSimThreads;` in the benchmark
+     *  harness (rmpbench/src/oneshot.cc); delete it with that line. */
     unsigned threads = 4;
 };
 
@@ -104,9 +106,13 @@ struct SimFacts
  *  differential tests and bench_sim_throughput's identity verdict. */
 bool factsEqual(const SimFacts &x, const SimFacts &y);
 
-/** Explore @p iuv's behavior with random constrained simulation. */
+/**
+ * Explore @p iuv's behavior with random constrained simulation. The
+ * compiled engine's batches fan out at @p width (see exec::parallelFor;
+ * 0 = hardware concurrency); the facts are the same at every width.
+ */
 SimFacts exploreSim(const designs::Harness &hx, uhb::InstrId iuv,
-                    const SimExploreConfig &cfg);
+                    const SimExploreConfig &cfg, unsigned width);
 
 /** One random constrained run: replayable inputs plus the full trace. */
 struct SimRun

@@ -2,7 +2,6 @@
 #include <functional>
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <set>
@@ -68,7 +67,7 @@ MuPathSynthesizer::MuPathSynthesizer(const designs::Harness &harness,
                                      const SynthesisConfig &config)
     : hx(harness), cfg(config),
       pool_(harness.design(), engineConfigFor(harness, config),
-            exec::ExecConfig{.jobs = config.jobs, .store = config.store}),
+            exec::ExecConfig{.store = config.store}),
       base(harness.baseAssumes())
 {
     stats_.resize(kNumSteps);
@@ -155,16 +154,15 @@ MuPathSynthesizer::facts(InstrId iuv)
         return it->second;
     SimFacts f;
     if (cfg.useSimExploration) {
-        obs::Span span("sim-explore", "r2m");
-        span.arg("iuv", iuv);
-        span.arg("runs", cfg.explore.runs);
         auto t0 = std::chrono::steady_clock::now();
-        f = exploreSim(hx, iuv, cfg.explore);
+        f = exploreSim(hx, iuv, cfg.explore, cfg.jobs);
         auto t1 = std::chrono::steady_clock::now();
         StepStats &st = stats_[kSimExplore];
         st.queries += cfg.explore.runs;
         st.reachable += f.sets.size();
         st.seconds += std::chrono::duration<double>(t1 - t0).count();
+        obs::progress(kStepNames[kSimExplore], st.queries, 0,
+                      hx.design().name());
     }
     return factsCache.emplace(iuv, std::move(f)).first->second;
 }
@@ -616,40 +614,7 @@ MuPathSynthesizer::synthesize(InstrId iuv)
 std::map<InstrId, uhb::InstrPaths>
 MuPathSynthesizer::synthesizeAll(const std::vector<InstrId> &iuvs)
 {
-    // Phase 1: simulation exploration per IUV. The explorations are pure
-    // functions of (harness, iuv, config) and run concurrently; tallies
-    // and the facts cache are merged serially in submission order.
-    if (cfg.useSimExploration) {
-        std::vector<InstrId> todo;
-        for (InstrId iuv : iuvs)
-            if (!factsCache.count(iuv))
-                todo.push_back(iuv);
-        obs::Span span("r2m-explore-all", "r2m");
-        span.arg("iuvs", todo.size());
-        std::vector<SimFacts> fresh(todo.size());
-        std::vector<double> secs(todo.size(), 0.0);
-        std::atomic<uint64_t> explored{0};
-        pool_.parallelFor(todo.size(), [&](size_t k) {
-            obs::Span inner("sim-explore", "r2m");
-            inner.arg("iuv", todo[k]);
-            inner.arg("runs", cfg.explore.runs);
-            auto t0 = std::chrono::steady_clock::now();
-            fresh[k] = exploreSim(hx, todo[k], cfg.explore);
-            auto t1 = std::chrono::steady_clock::now();
-            secs[k] = std::chrono::duration<double>(t1 - t0).count();
-            obs::progress("0:sim-explore (runs)", explored.fetch_add(1) + 1,
-                          todo.size(), hx.design().name());
-        });
-        for (size_t k = 0; k < todo.size(); k++) {
-            StepStats &st = stats_[kSimExplore];
-            st.queries += cfg.explore.runs;
-            st.reachable += fresh[k].sets.size();
-            st.seconds += secs[k];
-            factsCache.emplace(todo[k], std::move(fresh[k]));
-        }
-    }
-
-    // Phase 2: step-1 covers, shared by every IUV.
+    // Step-1 covers, shared by every IUV.
     duvPls();
 
     std::map<InstrId, InstrPaths> out;

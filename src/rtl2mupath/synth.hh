@@ -77,10 +77,12 @@ struct SynthesisConfig
      */
     bool usePaperEnumeration = false;
     /**
-     * Worker threads for the per-IUV simulation explorations.
-     * 0 = hardware_concurrency(). Cover queries run on the engine pool's
-     * one engine in submission order, so verdicts and synthesized
-     * results are identical for every value (DESIGN.md §3d).
+     * Width of each simulation exploration's fan-out, counting the
+     * calling thread (exec::parallelFor; 0 = hardware_concurrency()).
+     * Exploration facts do not depend on it (DESIGN.md §3h), and cover
+     * queries run on the engine pool's one engine in submission order,
+     * so verdicts and synthesized results are identical for every value
+     * (DESIGN.md §3d).
      */
     unsigned jobs = 0;
     /** Audit Reachable verdicts by simulator witness replay
@@ -136,10 +138,10 @@ class MuPathSynthesizer
     uhb::InstrPaths synthesize(uhb::InstrId iuv);
 
     /**
-     * Synthesize several instructions: simulation exploration runs
-     * concurrently for all IUVs, then step 1 and synthesize() per IUV in
-     * the given order. Results are deterministic and jobs-invariant, and
-     * equal calling synthesize() per IUV in order.
+     * Synthesize several instructions: step 1, then synthesize() per IUV
+     * in the given order (each explores its IUV on first use, through
+     * facts()). Results are deterministic and jobs-invariant, and equal
+     * calling synthesize() per IUV in order.
      */
     std::map<uhb::InstrId, uhb::InstrPaths>
     synthesizeAll(const std::vector<uhb::InstrId> &iuvs);

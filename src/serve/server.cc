@@ -21,7 +21,6 @@
 #include "common/interrupt.hh"
 #include "common/version.hh"
 #include "designs/catalog.hh"
-#include "exec/admission.hh"
 #include "ift/instrument.hh"
 #include "obs/obs.hh"
 #include "obs/progress.hh"
@@ -128,8 +127,8 @@ appendIftLint(const designs::Harness &hx, analysis::LintReport *rep)
 /**
  * Per-job progress sink: serializes rate-limited NDJSON progress events
  * onto the requesting connection. update() arrives from the job's
- * worker thread AND its engine pool's threads (the pool re-installs the
- * submitting thread's sink in its workers), so it locks internally;
+ * worker thread AND the pool threads of its fan-outs (exec::parallelFor
+ * re-installs the caller's sink on them), so it locks internally;
  * the connection's own write mutex keeps events and the final reply
  * line-atomic against each other.
  */
@@ -455,8 +454,6 @@ Server::handleLine(const std::shared_ptr<Conn> &conn,
         r.put("warm_entries", static_cast<uint64_t>(s.warmEntries));
         r.put("workers", static_cast<uint64_t>(s.workers));
         r.putRaw("store", report::storeStatsJson(s.store));
-        r.putRaw("admission", report::admissionStatsJson(
-                                  exec::AdmissionGate::global().stats()));
         writeLine(conn, r.str());
         return;
     }
@@ -685,8 +682,8 @@ std::string
 Server::runJob(Worker &w, const Job &job)
 {
     // Opt-in streaming: install the job's NDJSON progress sink
-    // thread-locally for the duration; the engine pool re-installs it
-    // in its own workers per batch, so deep layers reach this client
+    // thread-locally for the duration; exec::parallelFor re-installs it
+    // on the pool threads of each fan-out, so deep layers reach this client
     // without any global (cross-job) state.
     std::unique_ptr<ConnProgressSink> sink;
     std::optional<obs::ScopedProgressSink> scoped;

@@ -22,12 +22,12 @@
  * bounded priority queue (maxQueue is per worker; a full queue rejects
  * with "queue full", the backpressure signal) and its own warm-registry
  * shard; queued (not yet running) jobs can be cancelled by the
- * connection that submitted them. Every job still parallelizes its
- * simulation through its engine pool's parallelFor, and the pools admit
- * those batches through the process-global exec::AdmissionGate so N
- * concurrent synth jobs share the machine instead of oversubscribing
- * it N-fold; a job's cover queries run on its pool's one engine, on the
- * job's worker thread. A heavy request is checked before it is queued: a
+ * connection that submitted them. A job's cover queries run on its
+ * pool's one engine, on the job's worker thread; its simulation fans
+ * out over the process's one worker pool (exec::parallelFor) at
+ * --jobs width, so N concurrent jobs share hardware_concurrency() - 1
+ * pool threads and a warm entry holds no thread of its own. A heavy
+ * request is checked before it is queued: a
  * non-integral or out-of-range priority, or a synth/prove option that
  * is unknown or of the wrong type, gets an error reply naming the key.
  *
@@ -95,7 +95,8 @@ struct ServeConfig
     bool useStore = true;
     /** Store root ("" = store::VerdictStore::defaultRoot()). */
     std::string storeRoot;
-    /** Worker threads per engine pool (0 = hardware_concurrency). */
+    /** Width of every simulation fan-out a job makes, counting its
+     *  worker (0 = hardware_concurrency; see exec::parallelFor). */
     unsigned jobs = 0;
     /** Install SIGINT/SIGTERM handlers (off for in-process tests). */
     bool handleSignals = true;

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/logging.hh"
+#include "exec/parallel.hh"
 #include "obs/progress.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -88,7 +89,7 @@ SynthLc::SynthLc(const designs::Harness &harness, const SynthLcConfig &config)
       inst(ift::instrument(hx.design(), iftConfigFor(harness))),
       fsmTaint(buildFsmTaintWires(harness, inst)),
       pool_(*inst.design, engineConfigFor(harness, config),
-            exec::ExecConfig{.jobs = config.jobs, .store = config.store}),
+            exec::ExecConfig{.store = config.store}),
       base(hx.baseAssumes())
 {
 }
@@ -370,14 +371,14 @@ SynthLc::analyze(InstrId transponder, const std::vector<Decision> &decisions,
 
     // Phase A: taint-simulation pre-filtering. The batches are pure
     // functions of their parameters and write index-distinct hit sets,
-    // so they run concurrently on the pool's workers; the simHits tally
-    // is folded in serially afterwards.
+    // so they fan out at cfg.jobs width; the simHits tally is folded in
+    // serially afterwards.
     std::vector<std::set<std::pair<PlId, Decision>>> hits(batches.size());
     {
         obs::Span sim_span("slc-sim-filter", "slc");
         sim_span.arg("batches", batches.size());
         std::atomic<uint64_t> done{0};
-        pool_.parallelFor(batches.size(), [&](size_t k) {
+        exec::parallelFor(batches.size(), cfg.jobs, [&](size_t k) {
             simBatch(transponder, batches[k].t, batches[k].op,
                      batches[k].type, sources, universe, &hits[k]);
             obs::progress("slc:sim-filter", done.fetch_add(1) + 1,

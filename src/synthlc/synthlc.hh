@@ -137,10 +137,10 @@ struct SynthLcConfig
      *  harness (rmpbench/src/oneshot.cc); delete it with that line. */
     sim::SimBackend simBackend = sim::SimBackend::Simd;
     /**
-     * Worker threads for the taint-simulation batches.
-     * 0 = hardware_concurrency(). Probes run on the engine pool's one
-     * engine in submission order, so results are identical for every
-     * value (DESIGN.md §3d).
+     * Width of the taint-simulation batches' fan-out, counting the
+     * calling thread (exec::parallelFor; 0 = hardware_concurrency()).
+     * Probes run on the engine pool's one engine in submission order,
+     * so results are identical for every value (DESIGN.md §3d).
      */
     unsigned jobs = 0;
     /** Audit Reachable verdicts by simulator witness replay

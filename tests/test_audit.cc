@@ -3,8 +3,8 @@
  * Tests for the verdict-audit layer (EngineConfig::auditReplay /
  * auditProof): reachable verdicts are replay-validated and unreachable
  * verdicts DRAT-closed with zero mismatches on healthy designs; audited
- * and unaudited runs return identical verdicts (including across --jobs
- * values under a SAT budget); trivially-unreachable verdicts stay in the
+ * and unaudited runs return identical verdicts (including across pools
+ * under a SAT budget); trivially-unreachable verdicts stay in the
  * trusted base; and the replay oracle rejects seeded witness defects.
  */
 
@@ -200,8 +200,8 @@ TEST(Audit, AuditedVerdictsMatchUnaudited)
 
 TEST(Audit, PoolVerdictsJobsInvariantUnderAuditAndBudget)
 {
-    // jobs=1 vs jobs=4 with auditing and a tight budget: same verdicts,
-    // zero mismatches, and the audit tallies themselves identical (every
+    // Two pools with auditing and a tight budget: same verdicts, zero
+    // mismatches, and the audit tallies themselves identical (every
     // query runs on the pool's one engine in submission order).
     FactorDesign fd;
     EngineConfig cfg;
@@ -214,31 +214,31 @@ TEST(Audit, PoolVerdictsJobsInvariantUnderAuditAndBudget)
     for (uint64_t v : {60491ULL, 35ULL, 6ULL, 59989ULL, 12ULL, 143ULL})
         qs.push_back(Query{pEq(fd.prod, v), {}, -1});
 
-    EnginePool p1(fd.d, cfg, ExecConfig{.jobs = 1});
-    EnginePool p4(fd.d, cfg, ExecConfig{.jobs = 4});
-    auto r1 = p1.evalBatch(qs);
-    auto r4 = p4.evalBatch(qs);
-    ASSERT_EQ(r1.size(), r4.size());
-    for (size_t i = 0; i < r1.size(); i++) {
-        EXPECT_EQ(r1[i].outcome, r4[i].outcome) << "query " << i;
-        EXPECT_FALSE(r1[i].audit.mismatch);
-        EXPECT_FALSE(r4[i].audit.mismatch);
+    EnginePool pa(fd.d, cfg);
+    EnginePool pb(fd.d, cfg);
+    auto ra = pa.evalBatch(qs);
+    auto rb = pb.evalBatch(qs);
+    ASSERT_EQ(ra.size(), rb.size());
+    for (size_t i = 0; i < ra.size(); i++) {
+        EXPECT_EQ(ra[i].outcome, rb[i].outcome) << "query " << i;
+        EXPECT_FALSE(ra[i].audit.mismatch);
+        EXPECT_FALSE(rb[i].audit.mismatch);
     }
-    PoolStats s1 = p1.stats(), s4 = p4.stats();
-    EXPECT_EQ(s1.engine.auditReplayed, s4.engine.auditReplayed);
-    EXPECT_EQ(s1.engine.auditProofChecked, s4.engine.auditProofChecked);
-    EXPECT_EQ(s1.engine.auditMismatches, 0u);
-    EXPECT_EQ(s4.engine.auditMismatches, 0u);
+    PoolStats sa = pa.stats(), sb = pb.stats();
+    EXPECT_EQ(sa.engine.auditReplayed, sb.engine.auditReplayed);
+    EXPECT_EQ(sa.engine.auditProofChecked, sb.engine.auditProofChecked);
+    EXPECT_EQ(sa.engine.auditMismatches, 0u);
+    EXPECT_EQ(sb.engine.auditMismatches, 0u);
     // Every solver-backed verdict in this batch was audited one way or
     // the other.
-    EXPECT_EQ(s1.engine.auditReplayed + s1.engine.auditProofChecked,
-              s1.engine.reachable + s1.engine.unreachable);
+    EXPECT_EQ(sa.engine.auditReplayed + sa.engine.auditProofChecked,
+              sa.engine.reachable + sa.engine.unreachable);
 }
 
 TEST(Audit, CacheHitsDoNotReAudit)
 {
     CounterDesign cd;
-    EnginePool pool(cd.d, auditedCfg(10), ExecConfig{.jobs = 1});
+    EnginePool pool(cd.d, auditedCfg(10));
     Query q{pEq(cd.cnt, 7), {}, -1};
     CoverResult first = pool.eval(q);
     ASSERT_EQ(first.outcome, Outcome::Reachable);

@@ -166,6 +166,30 @@ TEST(Cli, SynthWithTraceAndStats)
     std::remove(trace.c_str());
 }
 
+TEST(Cli, UpathsVcdExploresOnce)
+{
+    // --vcd exports a witness of the exploration synthesize() already
+    // ran for the IUV (same config and seed), so the IUV's 1200 default
+    // runs are simulated once, not twice.
+    std::string vcd = ::testing::TempDir() + "/rmp_cli_upaths.vcd";
+    std::remove(vcd.c_str());
+    RunResult r = run("upaths tiny3 ADD --vcd " + vcd + " --stats --json");
+    EXPECT_EQ(r.status, 0) << r.output;
+    EXPECT_NE(r.output.find("wrote " + vcd), std::string::npos) << r.output;
+    EXPECT_NE(r.output.find("\"sim.runs\": 1200,"), std::string::npos)
+        << r.output;
+    std::FILE *f = std::fopen(vcd.c_str(), "r");
+    ASSERT_NE(f, nullptr);
+    std::string content;
+    std::array<char, 4096> buf;
+    size_t n;
+    while ((n = std::fread(buf.data(), 1, buf.size(), f)) > 0)
+        content.append(buf.data(), n);
+    std::fclose(f);
+    EXPECT_NE(content.find("$enddefinitions"), std::string::npos);
+    std::remove(vcd.c_str());
+}
+
 TEST(Cli, CheckVerdictsAuditsEveryVerdictCleanly)
 {
     // The acceptance gate for the verdict-audit layer: a full audited
@@ -210,12 +234,11 @@ TEST(Cli, MalformedNumericFlagFailsWithUsage)
     // and so is an age whose seconds overflow uint64_t. A daemon queue
     // bound of 0 would reject every heavy request.
     for (const char *bad :
-         {"--jobs abc", "--budget x", "--workers ''", "--sim-threads 1z",
+         {"--jobs abc", "--budget x", "--workers ''",
           "--timeout 99999999999", "--max-queue -1", "--priority 1.5",
           "--max-bytes ' 7'", "--max-age-days 18446744073709551616",
           "--max-age-days 213503982334602", "--jobs 1025",
-          "--sim-threads 1025", "--workers 1025", "--timeout -5",
-          "--max-queue 0"}) {
+          "--workers 1025", "--timeout -5", "--max-queue 0"}) {
         RunResult r = run(std::string("bugs tiny3 ") + bad);
         EXPECT_EQ(r.status, 2) << bad << ": " << r.output;
         EXPECT_TRUE(mentionsUsage(r.output)) << bad << ": " << r.output;
@@ -226,10 +249,17 @@ TEST(Cli, MalformedNumericFlagFailsWithUsage)
     // In-range values still parse, including a negative priority and
     // the inclusive ends of the --timeout, --max-age-days and
     // --max-queue ranges.
-    RunResult ok = run("bugs tiny3 --jobs 2 --sim-threads 1 --priority -3"
+    RunResult ok = run("bugs tiny3 --jobs 2 --priority -3"
                        " --timeout 0 --max-age-days 213503982334601"
                        " --max-queue 1");
     EXPECT_EQ(ok.status, 0) << ok.output;
+    // --jobs is the one thread count: --sim-threads is gone.
+    RunResult gone = run("bugs tiny3 --sim-threads 2");
+    EXPECT_EQ(gone.status, 2) << gone.output;
+    EXPECT_TRUE(mentionsUsage(gone.output)) << gone.output;
+    EXPECT_NE(gone.output.find("unknown option '--sim-threads'"),
+              std::string::npos)
+        << gone.output;
 }
 
 TEST(Cli, CheckVerdictsRejectsUnknownMode)

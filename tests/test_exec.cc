@@ -2,10 +2,10 @@
  * @file
  * Tests for the evaluation layer (src/exec): engine-pool eval vs. a
  * direct engine, cross-query memoization (hits replay identical
- * results, including witnesses), in-batch deduplication, jobs-invariant
- * batch results, one engine per pool answering in submission order,
- * SAT-budget exhaustion surfacing end-to-end as Undetermined, and
- * parallelFor coverage.
+ * results, including witnesses), in-batch deduplication, one engine per
+ * pool answering in submission order, SAT-budget exhaustion surfacing
+ * end-to-end as Undetermined, and the process worker pool's
+ * parallelFor (every index once, nested calls, width 1 on the caller).
  */
 
 #include <gtest/gtest.h>
@@ -13,9 +13,11 @@
 #include <atomic>
 #include <map>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "exec/engine_pool.hh"
+#include "exec/parallel.hh"
 #include "obs/obs.hh"
 #include "obs/registry.hh"
 #include "obs/trace.hh"
@@ -104,7 +106,7 @@ TEST(Exec, EvalMatchesDirectEngine)
     Engine eng(cd.d, counterCfg());
     CoverResult direct = eng.cover(pEq(cd.cnt, 7), {});
 
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 1});
+    EnginePool pool(cd.d, counterCfg());
     CoverResult pooled = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
     expectSameResult(direct, pooled, cd.cnt);
     EXPECT_EQ(pooled.witness.matchFrame, 7u);
@@ -113,7 +115,7 @@ TEST(Exec, EvalMatchesDirectEngine)
 TEST(Exec, RepeatedQueryHitsCacheAndReplaysWitness)
 {
     CounterDesign cd;
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 1});
+    EnginePool pool(cd.d, counterCfg());
     CoverResult first = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
     CoverResult again = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
     expectSameResult(first, again, cd.cnt);
@@ -128,7 +130,7 @@ TEST(Exec, RepeatedQueryHitsCacheAndReplaysWitness)
 TEST(Exec, DistinctAssumesAndFramesAreDistinctCacheKeys)
 {
     CounterDesign cd;
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 1});
+    EnginePool pool(cd.d, counterCfg());
     CoverResult plain = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
     // Same cover under a tautological assume: a different cache key even
     // though the verdict cannot change.
@@ -148,7 +150,7 @@ TEST(Exec, DistinctAssumesAndFramesAreDistinctCacheKeys)
 TEST(Exec, BatchDeduplicatesAndPreservesOrder)
 {
     CounterDesign cd;
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 4});
+    EnginePool pool(cd.d, counterCfg());
     std::vector<Query> qs;
     for (unsigned v = 0; v < 4; v++)
         qs.push_back(Query{pEq(cd.cnt, v + 3), {}, -1});
@@ -173,40 +175,22 @@ TEST(Exec, BatchDeduplicatesAndPreservesOrder)
     EXPECT_EQ(s.cache.misses, 5u);   // ...which never count as misses
 }
 
-TEST(Exec, BatchResultsAreJobsInvariant)
-{
-    CounterDesign cd;
-    std::vector<Query> qs;
-    for (unsigned v = 0; v < 10; v++)
-        qs.push_back(Query{pEq(cd.cnt, v), {}, -1});
-
-    EnginePool serial(cd.d, counterCfg(), ExecConfig{.jobs = 1});
-    EnginePool threaded(cd.d, counterCfg(), ExecConfig{.jobs = 4});
-    std::vector<CoverResult> a = serial.evalBatch(qs);
-    std::vector<CoverResult> b = threaded.evalBatch(qs);
-    ASSERT_EQ(a.size(), b.size());
-    for (size_t i = 0; i < a.size(); i++)
-        expectSameResult(a[i], b[i], cd.cnt);
-    EXPECT_EQ(serial.stats().engine.queries,
-              threaded.stats().engine.queries);
-}
-
 TEST(Exec, PoolBuildsOneUnrolling)
 {
-    // A four-worker pool unrolls the design once, for its one engine,
-    // and answers as a one-thread pool does.
+    // A pool unrolls the design once, for its one engine, and answers
+    // as another pool over the same design does.
     CounterDesign cd;
     std::vector<Query> qs;
     for (unsigned v = 0; v < 16; v++)
         qs.push_back(Query{pEq(cd.cnt, v), {}, -1});
-    EnginePool serial(cd.d, counterCfg(), ExecConfig{.jobs = 1});
-    std::vector<CoverResult> expected = serial.evalBatch(qs);
+    EnginePool first(cd.d, counterCfg());
+    std::vector<CoverResult> expected = first.evalBatch(qs);
 
     obs::Counter &frames =
         obs::Registry::global().counter("bmc.unroll.frames");
     obs::setEnabled(true);
     uint64_t before = frames.value();
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 4});
+    EnginePool pool(cd.d, counterCfg());
     std::vector<CoverResult> got = pool.evalBatch(qs);
     uint64_t unrolled = frames.value() - before;
     obs::setEnabled(false);
@@ -222,10 +206,9 @@ TEST(Exec, PoolBuildsOneUnrolling)
 TEST(Exec, PoolAnswersLikeOneEngineInSubmissionOrder)
 {
     // The pool's contract: every cache-missed query runs on one engine,
-    // in submission order, whatever the thread count. Under a tight
-    // budget a verdict depends on what the engine solved before, so
-    // this holds only if the pool's engine sees exactly the direct
-    // engine's query sequence.
+    // in submission order. Under a tight budget a verdict depends on
+    // what the engine solved before, so this holds only if the pool's
+    // engine sees exactly the direct engine's query sequence.
     FactorDesign fd;
     EngineConfig cfg;
     cfg.bound = 3;
@@ -288,32 +271,29 @@ TEST(Exec, PoolAnswersLikeOneEngineInSubmissionOrder)
     EXPECT_LT(undetermined, solved);
     EXPECT_GT(history_sensitive, 0u);
 
-    for (unsigned jobs : {1u, 4u}) {
-        SCOPED_TRACE("jobs " + std::to_string(jobs));
-        EnginePool pool(fd.d, cfg, ExecConfig{.jobs = jobs});
-        std::vector<CoverResult> got;
-        for (const auto &c : calls) {
-            if (c.size() == 1) {
-                got.push_back(pool.eval(c.front()));
-            } else {
-                std::vector<CoverResult> rs = pool.evalBatch(c);
-                got.insert(got.end(), rs.begin(), rs.end());
-            }
+    EnginePool pool(fd.d, cfg);
+    std::vector<CoverResult> got;
+    for (const auto &c : calls) {
+        if (c.size() == 1) {
+            got.push_back(pool.eval(c.front()));
+        } else {
+            std::vector<CoverResult> rs = pool.evalBatch(c);
+            got.insert(got.end(), rs.begin(), rs.end());
         }
-        ASSERT_EQ(got.size(), all.size());
-        for (size_t i = 0; i < all.size(); i++) {
-            SCOPED_TRACE("query " + std::to_string(i));
-            expectSameResult(direct[first[i]], got[i], fd.prod);
-        }
-        PoolStats s = pool.stats();
-        EXPECT_EQ(s.lanesBuilt, 1u);
-        EXPECT_EQ(s.engine.queries, solved);
-        EXPECT_EQ(s.cache.misses, solved);
-        EXPECT_EQ(s.cache.hits, all.size() - solved);
-        EXPECT_EQ(s.sat.conflicts, eng.satStats().conflicts);
-        EXPECT_EQ(s.sat.decisions, eng.satStats().decisions);
-        EXPECT_EQ(s.sat.propagations, eng.satStats().propagations);
     }
+    ASSERT_EQ(got.size(), all.size());
+    for (size_t i = 0; i < all.size(); i++) {
+        SCOPED_TRACE("query " + std::to_string(i));
+        expectSameResult(direct[first[i]], got[i], fd.prod);
+    }
+    PoolStats s = pool.stats();
+    EXPECT_EQ(s.lanesBuilt, 1u);
+    EXPECT_EQ(s.engine.queries, solved);
+    EXPECT_EQ(s.cache.misses, solved);
+    EXPECT_EQ(s.cache.hits, all.size() - solved);
+    EXPECT_EQ(s.sat.conflicts, eng.satStats().conflicts);
+    EXPECT_EQ(s.sat.decisions, eng.satStats().decisions);
+    EXPECT_EQ(s.sat.propagations, eng.satStats().propagations);
 }
 
 TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)
@@ -334,7 +314,7 @@ TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)
     // Through the pool: same verdict, tallied in the merged EngineStats,
     // and the memoized verdict replays as a cache hit (the budget is part
     // of the cache key, so it cannot leak into differently-budgeted runs).
-    EnginePool pool(fd.d, cfg, ExecConfig{.jobs = 2});
+    EnginePool pool(fd.d, cfg);
     Query q{pEq(fd.prod, FactorDesign::kSemiprime), {}, -1};
     CoverResult pooled = pool.eval(q);
     EXPECT_EQ(pooled.outcome, Outcome::Undetermined);
@@ -348,21 +328,38 @@ TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)
     // A roomier budget is a different key and gets its own evaluation.
     EngineConfig roomy = cfg;
     roomy.budget.maxConflicts = 2'000'000;
-    EnginePool pool2(fd.d, roomy, ExecConfig{.jobs = 2});
+    EnginePool pool2(fd.d, roomy);
     CoverResult solved = pool2.eval(q);
     EXPECT_EQ(solved.outcome, Outcome::Reachable);
 }
 
 TEST(Exec, ParallelForRunsEveryIndexExactlyOnce)
 {
-    CounterDesign cd;
-    EnginePool pool(cd.d, counterCfg(), ExecConfig{.jobs = 4});
     std::vector<std::atomic<int>> seen(257);
     for (auto &s : seen)
         s = 0;
-    pool.parallelFor(seen.size(), [&](size_t i) { seen[i]++; });
+    parallelFor(seen.size(), 4, [&](size_t i) { seen[i]++; });
     for (size_t i = 0; i < seen.size(); i++)
         EXPECT_EQ(seen[i].load(), 1) << i;
+
+    // Nested calls: every inner call returns though the outer one may
+    // hold every pool thread, because a caller runs indices itself.
+    std::vector<std::atomic<int>> nested(8 * 64);
+    for (auto &s : nested)
+        s = 0;
+    parallelFor(8, 4, [&](size_t o) {
+        parallelFor(64, 4, [&](size_t i) { nested[o * 64 + i]++; });
+    });
+    for (size_t i = 0; i < nested.size(); i++)
+        EXPECT_EQ(nested[i].load(), 1) << i;
+
+    // Width 1 runs every index on the calling thread.
+    const std::thread::id caller = std::this_thread::get_id();
+    std::vector<std::thread::id> ran_on(64);
+    parallelFor(ran_on.size(), 1,
+                [&](size_t i) { ran_on[i] = std::this_thread::get_id(); });
+    for (size_t i = 0; i < ran_on.size(); i++)
+        EXPECT_EQ(ran_on[i], caller) << i;
 }
 
 TEST(Exec, DigestCollisionIsDetectedNotAliased)

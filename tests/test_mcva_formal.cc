@@ -48,7 +48,7 @@ TEST(McvaExplore, SimFindsLoadStallAndFinishPaths)
     Harness hx(buildMcva());
     SimExploreConfig cfg;
     cfg.runs = 1500;
-    SimFacts f = exploreSim(hx, hx.duv().instrId("LW"), cfg);
+    SimFacts f = exploreSim(hx, hx.duv().instrId("LW"), cfg, 0);
     PlId ld_stall = plByName(hx, "ldStall");
     PlId ld_fin = plByName(hx, "ldFin");
     EXPECT_TRUE(f.iuvPls.count(ld_fin));
@@ -73,7 +73,7 @@ TEST(McvaExplore, WitnessesReplayConsistently)
     Harness hx(buildMcva());
     SimExploreConfig cfg;
     cfg.runs = 200;
-    SimFacts f = exploreSim(hx, hx.duv().instrId("ADD"), cfg);
+    SimFacts f = exploreSim(hx, hx.duv().instrId("ADD"), cfg, 0);
     ASSERT_FALSE(f.sets.empty());
     // Replaying a witness's inputs must reproduce its trace.
     const auto &sf = f.sets.begin()->second;

@@ -168,24 +168,15 @@ TEST_F(ObsTest, SpansRecordAndExportChromeTraceJson)
         outer.arg("n", 42);
         Span inner("inner", "test");
     }
-    {
-        ScopedTrack t(3);
-        setTrackName(3, "lane-3");
-        Span s("on-lane", "test");
-    }
     setEnabled(false);
-    EXPECT_EQ(eventCount(), 3u);
+    EXPECT_EQ(eventCount(), 2u);
 
     std::string json = traceJson();
     EXPECT_NE(json.find("\"displayTimeUnit\": \"ms\""), std::string::npos);
     EXPECT_NE(json.find("\"traceEvents\""), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"outer\""), std::string::npos);
     EXPECT_NE(json.find("\"name\": \"inner\""), std::string::npos);
-    EXPECT_NE(json.find("\"name\": \"on-lane\""), std::string::npos);
     EXPECT_NE(json.find("\"n\": 42"), std::string::npos);
-    // The named track appears as thread-name metadata with tid 3.
-    EXPECT_NE(json.find("\"lane-3\""), std::string::npos);
-    EXPECT_NE(json.find("\"ph\": \"M\""), std::string::npos);
     EXPECT_NE(json.find("\"ph\": \"X\""), std::string::npos);
 }
 
@@ -229,8 +220,7 @@ TEST_F(ObsTest, ConcurrentSpanRecordingIsRaceFree)
     constexpr unsigned kSpans = 500;
     std::vector<std::thread> ts;
     for (unsigned t = 0; t < kThreads; t++)
-        ts.emplace_back([t] {
-            ScopedTrack track(static_cast<int32_t>(t));
+        ts.emplace_back([] {
             for (unsigned i = 0; i < kSpans; i++) {
                 Span s("worker-span", "test");
                 s.arg("i", i);
@@ -296,7 +286,7 @@ struct CounterDesign
 TEST_F(ObsTest, PoolCacheCountersExactUnderConcurrentLoad)
 {
     // QueryCache hit/miss counters live in the registry; they must stay
-    // exact when a jobs=4 pool evaluates a batch full of duplicates. 16
+    // exact when a pool evaluates a batch full of duplicates. 16
     // distinct queries, each submitted 4 times: the first submission of
     // each misses and solves (16 misses, 16 entries), and the 48 later
     // ones are served from the published entries (48 hits) — exactly,
@@ -304,7 +294,7 @@ TEST_F(ObsTest, PoolCacheCountersExactUnderConcurrentLoad)
     CounterDesign cd;
     bmc::EngineConfig ecfg;
     ecfg.bound = 18;
-    exec::EnginePool pool(cd.d, ecfg, exec::ExecConfig{.jobs = 4});
+    exec::EnginePool pool(cd.d, ecfg);
     std::vector<exec::Query> qs;
     for (unsigned rep = 0; rep < 4; rep++)
         for (unsigned v = 0; v < 16; v++)
@@ -321,7 +311,7 @@ TEST_F(ObsTest, PoolCacheCountersExactUnderConcurrentLoad)
 
     // A second pool (its own cache instance) tallies independently: the
     // first pool's numbers must not move.
-    exec::EnginePool pool2(cd.d, ecfg, exec::ExecConfig{.jobs = 2});
+    exec::EnginePool pool2(cd.d, ecfg);
     auto r2 = pool2.eval(exec::Query{prop::pEq(cd.cnt, 3), {}, -1});
     EXPECT_EQ(r2.outcome, bmc::Outcome::Reachable);
     EXPECT_EQ(pool2.stats().cache.misses, 1u);
@@ -341,11 +331,11 @@ TEST_F(ObsTest, PoolInstrumentationDoesNotChangeVerdicts)
     for (unsigned v = 0; v < 16; v++)
         qs.push_back(exec::Query{prop::pEq(cd.cnt, v), {}, -1});
 
-    exec::EnginePool off(cd.d, ecfg, exec::ExecConfig{.jobs = 4});
+    exec::EnginePool off(cd.d, ecfg);
     auto r_off = off.evalBatch(qs);
 
     setEnabled(true);
-    exec::EnginePool on(cd.d, ecfg, exec::ExecConfig{.jobs = 4});
+    exec::EnginePool on(cd.d, ecfg);
     auto r_on = on.evalBatch(qs);
     setEnabled(false);
 

@@ -5,8 +5,9 @@
  * and jobs=4 — the same μPATHs (PL sets, schedules, revisit classes, HB
  * edges), the same decisions, the same per-step verdict tallies, and the
  * same rendered SynthLC leakage signatures. The engine pool guarantees
- * this by fixing the lane count independently of the thread count
- * (DESIGN.md §"Parallel evaluation").
+ * this by running every cover on its one engine in submission order,
+ * whatever the thread count (DESIGN.md §3d), and simulation facts do not
+ * depend on the width they fan out at (DESIGN.md §3h).
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +19,8 @@
 
 #include "designs/dcache.hh"
 #include "designs/tiny3.hh"
+#include "obs/obs.hh"
+#include "obs/trace.hh"
 #include "report/report.hh"
 #include "rtl2mupath/synth.hh"
 #include "synthlc/synthlc.hh"
@@ -144,13 +147,52 @@ TEST(ParallelDeterminism, Tiny3ClosureFlowIsJobsInvariant)
     EXPECT_EQ(serial.tallies, threaded.tallies);
     // The zero-skip core leaks: signatures must actually exist here.
     EXPECT_FALSE(serial.signatures.empty());
-    // Every lane's incremental query stream, budgets included, replays
+    // Each pool's incremental query stream, budgets included, replays
     // to the same search: the solvers do identical work at both job
     // counts. The stream is long enough to cross the learned-DB limit
     // and compact the arena, so reduction and GC are replayed too.
     EXPECT_EQ(serial.sat, threaded.sat);
     EXPECT_GT(serial.sat.dbReductions, 0u);
     EXPECT_GT(serial.sat.gcPasses, 0u);
+}
+
+TEST(ParallelDeterminism, ExplorationFansOutAtJobsWidth)
+{
+    // --jobs is the one thread count: at jobs=1 every exploration runs
+    // on the calling thread alone, and its facts equal those at jobs=4.
+    Harness hx(buildTiny3());
+    std::vector<InstrId> ids;
+    for (InstrId i = 0; i < hx.duv().instrs.size(); i++)
+        ids.push_back(i);
+    SynthesisConfig one, four;
+    one.jobs = 1;
+    four.jobs = 4;
+    MuPathSynthesizer serial(hx, one), wide(hx, four);
+
+    obs::clearTrace();
+    obs::setEnabled(true);
+    serial.synthesizeAll(ids);
+    obs::setEnabled(false);
+    std::string json = obs::traceJson();
+    obs::clearTrace();
+
+    // One event per line; read the "threads" arg of every exploration
+    // span (category sim).
+    const std::string tag = "\"name\": \"sim-explore\", \"cat\": \"sim\"";
+    size_t spans = 0;
+    for (size_t at = json.find(tag); at != std::string::npos;
+         at = json.find(tag, at + 1)) {
+        std::string line = json.substr(at, json.find('\n', at) - at);
+        size_t t = line.find("\"threads\": ");
+        ASSERT_NE(t, std::string::npos) << line;
+        EXPECT_EQ(std::stoul(line.substr(t + 11)), 1u) << line;
+        spans++;
+    }
+    EXPECT_EQ(spans, ids.size());
+
+    for (InstrId i : ids)
+        EXPECT_TRUE(factsEqual(serial.facts(i), wide.facts(i)))
+            << hx.duv().instrs[i].name;
 }
 
 TEST(ParallelDeterminism, QueryCacheHitsAreNonZeroOnFullSynthesis)

@@ -6,8 +6,9 @@
  * job via pipelined requests, graceful shutdown, store continuity
  * across a daemon restart, the multi-worker pool (concurrent pipelined
  * clients with per-key repeat identity — the TSan stress target),
- * streaming progress events, mid-batch drain durability, and two
- * forked daemons sharing one store root.
+ * warm entries that hold no threads, streaming progress events,
+ * mid-batch drain durability, and two forked daemons sharing one store
+ * root.
  */
 
 #include <gtest/gtest.h>
@@ -120,7 +121,7 @@ struct TestServer
     int runResult = -1;
 
     explicit TestServer(unsigned max_queue = 64, bool use_store = true,
-                        unsigned workers = 0)
+                        unsigned workers = 0, unsigned jobs = 2)
     {
         char tmpl[] = "/tmp/rmp-serve-test-XXXXXX";
         char *d = mkdtemp(tmpl);
@@ -131,7 +132,7 @@ struct TestServer
         cfg.maxQueue = max_queue;
         cfg.useStore = use_store;
         cfg.storeRoot = dir + "/store";
-        cfg.jobs = 2;
+        cfg.jobs = jobs;
         cfg.handleSignals = false;
         start();
     }
@@ -532,8 +533,42 @@ TEST(Serve, StatsReportWorkerCount)
     JsonValue st = ts.req(c, R"({"id":1,"op":"stats"})");
     EXPECT_TRUE(st.boolean_("ok"));
     EXPECT_EQ(st.u64("workers"), 3u);
-    ASSERT_NE(st.find("admission"), nullptr);
-    EXPECT_GT(st.find("admission")->u64("capacity"), 0u);
+}
+
+/**
+ * A warm entry keeps its harness, synthesizer and engine, but no
+ * thread: every job's simulation fans out over the process's one
+ * worker pool. So distinct keys (the budget is part of the key) add
+ * warm entries without adding threads.
+ */
+TEST(Serve, WarmEntriesHoldNoThreads)
+{
+    if (!fs::exists("/proc/self/task"))
+        GTEST_SKIP() << "no /proc/self/task to count threads in";
+    auto threads = [] {
+        size_t n = 0;
+        for ([[maybe_unused]] const auto &e :
+             fs::directory_iterator("/proc/self/task"))
+            n++;
+        return n;
+    };
+    TestServer ts(/*max_queue=*/64, /*use_store=*/false, /*workers=*/1,
+                  /*jobs=*/4);
+    Client c;
+    ts.connect(c);
+    auto synth = [&](unsigned budget) {
+        JsonValue r = ts.req(c, R"({"id":1,"op":"synth","duv":"tiny3",)"
+                                R"("opts":{"budget":)" +
+                                    std::to_string(budget) + "}}");
+        EXPECT_TRUE(r.boolean_("ok")) << r.str("error");
+    };
+    synth(20'000);
+    const size_t after_one = threads();
+    for (unsigned b = 20'001; b <= 20'005; b++)
+        synth(b);
+    JsonValue st = ts.req(c, R"({"id":2,"op":"stats"})");
+    EXPECT_EQ(st.u64("warm_entries"), 6u);
+    EXPECT_LE(threads(), after_one);
 }
 
 /**

@@ -10,7 +10,7 @@
  *
  * Also pins down the acceptance property of the exploration rewrite:
  * exploreSim facts are bit-identical across engines and across any
- * lane/thread count (factsEqual is deep, witnesses included).
+ * lane count or width (factsEqual is deep, witnesses included).
  */
 
 #include <gtest/gtest.h>
@@ -264,7 +264,7 @@ TEST(SimCompiled, ExploreFactsInvariantAcrossEnginesLanesThreadsBackends)
         r2m::SimExploreConfig base;
         base.runs = 250;
         base.engine = r2m::SimEngine::Interpreted;
-        r2m::SimFacts ref = r2m::exploreSim(hx, iuv, base);
+        r2m::SimFacts ref = r2m::exploreSim(hx, iuv, base, 1);
         EXPECT_TRUE(r2m::factsEqual(ref, ref));
 
         struct Cfg
@@ -276,8 +276,7 @@ TEST(SimCompiled, ExploreFactsInvariantAcrossEnginesLanesThreadsBackends)
             r2m::SimExploreConfig cc = base;
             cc.engine = r2m::SimEngine::Compiled;
             cc.lanes = c.lanes;
-            cc.threads = c.threads;
-            r2m::SimFacts got = r2m::exploreSim(hx, iuv, cc);
+            r2m::SimFacts got = r2m::exploreSim(hx, iuv, cc, c.threads);
             EXPECT_TRUE(r2m::factsEqual(ref, got))
                 << duv << " facts diverge at lanes=" << c.lanes
                 << " threads=" << c.threads;

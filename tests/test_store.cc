@@ -601,7 +601,7 @@ TEST(VerdictStoreIntegration, WitnessTraceSameFromSolverCacheAndStore)
         VerdictStore st(root);
         ASSERT_TRUE(st.enabled());
         exec::EnginePool a(hx.design(), ec,
-                           exec::ExecConfig{.jobs = 1, .store = &st});
+                           exec::ExecConfig{.store = &st});
         solved = a.eval(q); // miss: solved, then written through
         memHit = a.eval(q);
         EXPECT_EQ(a.stats().cache.hits, 1u);
@@ -610,7 +610,7 @@ TEST(VerdictStoreIntegration, WitnessTraceSameFromSolverCacheAndStore)
     {
         VerdictStore st(root);
         exec::EnginePool b(hx.design(), ec,
-                           exec::ExecConfig{.jobs = 1, .store = &st});
+                           exec::ExecConfig{.store = &st});
         storeHit = b.eval(q);
         EXPECT_EQ(b.stats().store.hits, 1u);
         EXPECT_EQ(b.stats().engine.queries, 0u);

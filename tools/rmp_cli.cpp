@@ -40,9 +40,10 @@ using namespace rmp::designs;
 namespace
 {
 
-/** Upper bound of every thread-count flag (--jobs, --sim-threads,
- *  --workers). Each value becomes that many OS threads, so a typo must
- *  fail at parse time instead of asking the OS for 100 000 threads. */
+/** Upper bound of the thread-count flags --jobs and --workers. Each
+ *  --workers value becomes that many OS threads, so a typo must fail at
+ *  parse time instead of asking the OS for 100 000 threads; --jobs
+ *  shares the bound. */
 constexpr unsigned kMaxThreads = 1024;
 
 /** Upper bound of --max-age-days: the largest D whose D * 86 400
@@ -90,19 +91,17 @@ usage(std::FILE *f)
         "  --budget N     per-query SAT conflict budget (default 20000)\n"
         "  --closure      run the full BMC closure queries (slow, formal)\n"
         "  --counts       enumerate revisit cycle counts (mode (i))\n"
-        "  --jobs N       worker threads for simulation batches; covers\n"
-        "                 run on one engine in submission order\n"
-        "                 (0 to %u; default 0: hardware concurrency;\n"
-        "                 verdicts are identical for every value)\n"
+        "  --jobs N       threads for every simulation fan-out\n"
+        "                 (exploration, taint batches), up to the\n"
+        "                 hardware threads; covers run on one engine in\n"
+        "                 submission order (0 to %u; default 0:\n"
+        "                 hardware concurrency; verdicts are identical\n"
+        "                 for every value)\n"
         "  --sim-lanes N  SoA lanes per compiled-simulation batch\n"
         "                 (supported widths: 1-16, rounded up to a power\n"
         "                 of two; default 8; from 4 lanes up the kernel\n"
         "                 uses AVX2 when the CPU has it; results identical\n"
         "                 for every value)\n"
-        "  --sim-threads N\n"
-        "                 threads fanning compiled-simulation batches\n"
-        "                 (0 to %u; default 4; results identical for\n"
-        "                 every value)\n"
         "  --check-verdicts[=replay|proof|all]\n"
         "                 trust-but-verify every BMC verdict (default:"
         " all):\n"
@@ -151,7 +150,7 @@ usage(std::FILE *f)
         "                 --json, emit the machine-readable run summary\n"
         "  --progress     live progress line on stderr\n"
         "  --json         machine-readable output (lint, --stats)\n",
-        kMaxThreads, kMaxThreads, kMaxThreads,
+        kMaxThreads, kMaxThreads,
         static_cast<unsigned long long>(kMaxAgeDays));
 }
 
@@ -241,7 +240,6 @@ struct CliOptions
     bool progress = false;
     unsigned jobs = 0; // 0 = hardware_concurrency()
     unsigned simLanes = sim::kDefaultLanes;
-    unsigned simThreads = 4;
     std::string dotDir;
     std::string vcdFile;
     std::string traceFile;
@@ -307,9 +305,6 @@ parseOptions(int argc, char **argv, int first)
             o.simLanes = parseNumber<unsigned>(
                 "--sim-lanes", need("--sim-lanes"), 1, sim::kMaxLanes,
                 "widths");
-        else if (a == "--sim-threads")
-            o.simThreads = parseNumber<unsigned>(
-                "--sim-threads", need("--sim-threads"), 0, kMaxThreads);
         else if (a == "--store")
             o.store = true;
         else if (a == "--store-root")
@@ -368,7 +363,6 @@ synthConfig(const CliOptions &o)
     c.auditReplay = o.checkReplay;
     c.auditProof = o.checkProof;
     c.explore.lanes = o.simLanes;
-    c.explore.threads = o.simThreads;
     return c;
 }
 
@@ -511,12 +505,12 @@ cmdUpaths(const std::string &duv, const std::string &instr,
         }
     }
     if (!o.vcdFile.empty() && !r.paths.empty()) {
-        // Re-derive the first path's witness trace via its schedule run.
-        // The synthesizer stores only the schedule; export a whole
-        // exploration witness instead. Exploration traces are sparse
-        // (watch-set only), so replay the witness inputs through the
-        // full interpreted simulator to get every signal for the VCD.
-        r2m::SimFacts f = r2m::exploreSim(hx, p, synthConfig(o).explore);
+        // The synthesizer stores only the first path's schedule; export
+        // the first witness of the IUV's exploration instead, which
+        // synthesize() already ran and cached. Exploration traces are
+        // sparse (watch-set only), so replay the witness inputs through
+        // the full interpreted simulator to get every signal for the VCD.
+        const r2m::SimFacts &f = synth.facts(p);
         if (!f.sets.empty()) {
             const bmc::Witness &w = f.sets.begin()->second.witness;
             Simulator replay(hx.design());
