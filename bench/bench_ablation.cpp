@@ -58,14 +58,14 @@ main()
         Harness hx(buildTiny3({.withZeroSkip = true}));
         r2m::SynthesisConfig cfg;
         cfg.usePaperEnumeration = true;
-        cfg.useSimExploration = false;
+        cfg.explore.runs = 0;
         r2m::MuPathSynthesizer synth(hx);
         r2m::MuPathSynthesizer synth_p(hx, cfg);
         auto rp = synth_p.synthesize(hx.duv().instrId("MUL"));
         Cost cp = tally(synth_p);
         paths_paper = rp.paths.size();
         r2m::SynthesisConfig cfg2;
-        cfg2.useSimExploration = false;
+        cfg2.explore.runs = 0;
         r2m::MuPathSynthesizer synth_a(hx, cfg2);
         auto ra = synth_a.synthesize(hx.duv().instrId("MUL"));
         Cost ca = tally(synth_a);
@@ -113,7 +113,7 @@ main()
         b.maxConflicts = 6'000;
         r2m::SynthesisConfig cfg;
         cfg.budget = b;
-        cfg.useSimExploration = false;
+        cfg.explore.runs = 0;
         r2m::MuPathSynthesizer synth(hx, cfg);
         auto pls = synth.iuvPls(hx.duv().instrId("LW"));
         Cost c = tally(synth);

@@ -4,14 +4,9 @@
  *
  * Generalizes Design::combFanInSources — which stops at the first
  * register/input boundary — into multi-cycle reachability that crosses
- * register next-state connections, in both directions:
- *
- *  - backwardCone(): every cell whose value can influence the roots,
- *    crossing at most @p maxRegDepth register boundaries (unlimited by
- *    default, i.e. the classical cone of influence / transitive support);
- *  - forwardReach(): every cell the roots can influence (fan-out).
- *
- * backwardCone() backs the lint's liveness rules (dead-cell,
+ * register next-state connections: backwardCone() collects every cell
+ * whose value can influence the roots (the classical cone of influence /
+ * transitive support). It backs the lint's liveness rules (dead-cell,
  * never-read-reg; DESIGN.md §3e).
  */
 
@@ -51,25 +46,10 @@ struct Cone
  *
  * Traversal follows every value dependency: comb cells to their
  * operands, and registers — unlike combFanInSources — onward to their
- * next-state signals, crossing at most @p maxRegDepth register
- * boundaries (< 0 = unlimited, the fixpoint cone). Registers reached at
- * the depth limit are members, but their next-state logic is not
- * explored; only the fixpoint cone (the default) is closed under
+ * next-state signals, to the fixpoint. The cone is closed under
  * backward edges.
  */
-Cone backwardCone(const Design &d, const std::vector<SigId> &roots,
-                  int maxRegDepth = -1);
-
-/**
- * Forward reachability: cells whose value @p roots can influence, again
- * crossing at most @p maxRegDepth register boundaries (< 0 = unlimited).
- * Returns the sorted cell set. Used by the lint's liveness rules and by
- * taint-cone sanity checks (a signal can only ever taint its forward
- * reach).
- */
-std::vector<SigId> forwardReach(const Design &d,
-                                const std::vector<SigId> &roots,
-                                int maxRegDepth = -1);
+Cone backwardCone(const Design &d, const std::vector<SigId> &roots);
 
 } // namespace rmp::analysis
 

@@ -1,7 +1,6 @@
 #include "analysis/combgraph.hh"
 
 #include <algorithm>
-#include <deque>
 
 #include "common/logging.hh"
 
@@ -69,54 +68,6 @@ CombGraph::forwardComb(SigId src) const
         return topoPos_[x] < topoPos_[y];
     });
     return fwdMemo_.emplace(src, std::move(out)).first->second;
-}
-
-std::vector<SigId>
-forwardReach(const CombGraph &g, const std::vector<SigId> &roots,
-             int maxRegDepth)
-{
-    const Design &d = g.design();
-    size_t n = d.numCells();
-    constexpr unsigned kUnseen = ~0u;
-    std::vector<unsigned> depth(n, kUnseen);
-    std::deque<SigId> frontier;
-    for (SigId r : roots) {
-        rmp_assert(r < n, "forwardReach: bad root %u", r);
-        if (depth[r] != kUnseen)
-            continue;
-        depth[r] = 0;
-        frontier.push_back(r);
-    }
-    while (!frontier.empty()) {
-        SigId id = frontier.front();
-        frontier.pop_front();
-        unsigned dep = depth[id];
-        for (const SigId *up = g.usersBegin(id); up != g.usersEnd(id);
-             ++up) {
-            SigId u = *up;
-            // Entering a register crosses the sequential boundary: the
-            // influence lands one cycle later.
-            unsigned ud = dep;
-            if (d.cell(u).op == Op::Reg) {
-                if (maxRegDepth >= 0 &&
-                    dep >= static_cast<unsigned>(maxRegDepth))
-                    continue;
-                ud = dep + 1;
-            }
-            if (depth[u] <= ud)
-                continue;
-            depth[u] = ud;
-            if (ud == dep)
-                frontier.push_front(u);
-            else
-                frontier.push_back(u);
-        }
-    }
-    std::vector<SigId> out;
-    for (SigId id = 0; id < n; id++)
-        if (depth[id] != kUnseen)
-            out.push_back(id);
-    return out;
 }
 
 } // namespace rmp::analysis

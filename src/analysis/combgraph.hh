@@ -2,13 +2,11 @@
  * @file
  * Per-design combinational-graph cache.
  *
- * Design::combFanInSources and analysis::forwardReach both re-derive
- * graph structure on every call — the former re-runs a fresh backward
- * DFS with per-call allocations, the latter rebuilds the full fan-out
- * (users) adjacency. Both are called per query on hot paths (lintIft
- * checks every taint root and shadow; HB-edge candidate derivation hits
- * every PL), so CombGraph hoists the shared structure into one object
- * computed once per design:
+ * Design::combFanInSources re-derives graph structure on every call: it
+ * re-runs a fresh backward DFS with per-call allocations. It is called
+ * per query on hot paths (lintIft checks every taint root and shadow;
+ * HB-edge candidate derivation hits every PL), so CombGraph hoists the
+ * shared structure into one object computed once per design:
  *
  *  - a CSR fan-out adjacency (users of every signal);
  *  - each comb cell's topological position;
@@ -77,12 +75,6 @@ class CombGraph
     mutable std::unordered_map<SigId, std::vector<SigId>> fanInMemo_;
     mutable std::unordered_map<SigId, std::vector<SigId>> fwdMemo_;
 };
-
-/** forwardReach (coi.hh) on a prebuilt CombGraph: identical result,
- *  no per-call adjacency rebuild. */
-std::vector<SigId> forwardReach(const CombGraph &g,
-                                const std::vector<SigId> &roots,
-                                int maxRegDepth = -1);
 
 } // namespace rmp::analysis
 

@@ -62,7 +62,7 @@ cacheDir(const std::string &subdir)
 }
 
 bool
-atomicWriteFile(const std::string &path, const std::string &bytes, bool sync)
+atomicWriteFile(const std::string &path, const std::string &bytes)
 {
     const std::string tmp =
         path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
@@ -81,7 +81,7 @@ atomicWriteFile(const std::string &path, const std::string &bytes, bool sync)
             off += static_cast<size_t>(n);
         }
     }
-    if (ok && sync && ::fsync(fd) != 0)
+    if (ok && ::fsync(fd) != 0)
         ok = false;
     if (::close(fd) != 0)
         ok = false;

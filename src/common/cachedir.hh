@@ -35,12 +35,11 @@ std::string cacheDir(const std::string &subdir = "");
 
 /**
  * Atomically publish @p bytes at @p path: write to "<path>.tmp.<pid>",
- * optionally fsync, then rename into place. Returns false (removing the
- * tmp file) on any failure. With @p sync the record is durable against
- * power loss once this returns — the verdict store's fsync-on-commit.
+ * fsync, then rename into place. Returns false (removing the tmp file)
+ * on any failure. The file is durable against power loss once this
+ * returns — the verdict store's fsync-on-commit.
  */
-bool atomicWriteFile(const std::string &path, const std::string &bytes,
-                     bool sync = false);
+bool atomicWriteFile(const std::string &path, const std::string &bytes);
 
 /** Read a whole file; returns false if it cannot be opened/read. */
 bool readFile(const std::string &path, std::string *out);

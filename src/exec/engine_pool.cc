@@ -10,13 +10,13 @@ namespace rmp::exec
 
 EnginePool::EnginePool(const Design &design,
                        const bmc::EngineConfig &engine_cfg,
-                       const ExecConfig &exec_cfg)
+                       store::VerdictStore *store)
     : d(design), engCfg(engine_cfg), designFp(designFingerprint(design))
 {
     // Persistent store: read-through via the cache, proof capture on the
     // engine so Unreachable verdicts come with storable evidence.
-    if (exec_cfg.store && exec_cfg.store->enabled()) {
-        store_ = exec_cfg.store;
+    if (store && store->enabled()) {
+        store_ = store;
         engCfg.captureProof = true;
         cache_.attachStore(store_);
     }
@@ -29,12 +29,13 @@ EnginePool::EnginePool(const Design &design,
 EnginePool::~EnginePool() { flushStore(); }
 
 bmc::CoverResult
-EnginePool::eval(const Query &q)
+EnginePool::eval(const prop::ExprRef &seq,
+                 const std::vector<prop::ExprRef> &assumes)
 {
-    QueryKey key =
-        makeQueryKey(designFp, engCfg, q.seq, q.assumes, q.fixedFrame);
-    std::string bytes = makeQueryKeyBytes(designFp, engCfg, q.seq, q.assumes,
-                                          q.fixedFrame);
+    // Frame -1 (any frame): the key keeps its fixed-frame slot so
+    // stores written by earlier builds keep hitting.
+    QueryKey key = makeQueryKey(designFp, engCfg, seq, assumes, -1);
+    std::string bytes = makeQueryKeyBytes(designFp, engCfg, seq, assumes, -1);
     CachedResult hit;
     if (cache_.get(key, bytes, &hit))
         return expandResult(hit, d);
@@ -53,11 +54,7 @@ EnginePool::eval(const Query &q)
     uint64_t start = span.active() ? obs::nowNs() : 0;
     if (!engine_)
         engine_ = std::make_unique<bmc::Engine>(d, engCfg);
-    bmc::CoverResult r =
-        q.fixedFrame >= 0
-            ? engine_->coverAt(q.seq, q.assumes,
-                               static_cast<unsigned>(q.fixedFrame))
-            : engine_->cover(q.seq, q.assumes);
+    bmc::CoverResult r = engine_->cover(seq, assumes);
     if (span.active()) {
         span.arg("outcome", static_cast<uint64_t>(r.outcome));
         obs::Registry::global()
@@ -87,18 +84,6 @@ EnginePool::eval(const Query &q)
         }
     }
     return r;
-}
-
-std::vector<bmc::CoverResult>
-EnginePool::evalBatch(const std::vector<Query> &qs)
-{
-    obs::Span span("pool-batch", "exec");
-    span.arg("queries", qs.size());
-    std::vector<bmc::CoverResult> results;
-    results.reserve(qs.size());
-    for (const Query &q : qs)
-        results.push_back(eval(q));
-    return results;
 }
 
 void

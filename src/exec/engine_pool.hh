@@ -31,31 +31,6 @@
 namespace rmp::exec
 {
 
-/** One cover query: the unit of work submitted to the pool. */
-struct Query
-{
-    prop::ExprRef seq;
-    std::vector<prop::ExprRef> assumes;
-    /** Start frame; -1 = any frame (Engine::cover vs coverAt). */
-    int fixedFrame = -1;
-};
-
-/** Pool configuration. */
-struct ExecConfig
-{
-    /**
-     * Persistent verdict store (not owned; nullptr = none). When set
-     * (and enabled), the pool turns on bmc proof capture, attaches the
-     * store to the query cache for read-through, write-throughs
-     * Reachable/Undetermined verdicts as they complete, and defers
-     * Unreachable-with-proof records until flushStore() serializes the
-     * engine's proof context they reference. Verdicts are store-
-     * invariant: a store hit replays the identical compressed result a
-     * memory hit would.
-     */
-    store::VerdictStore *store = nullptr;
-};
-
 /** Aggregate pool statistics. */
 struct PoolStats
 {
@@ -82,29 +57,36 @@ struct PoolStats
  * synthesizers own one and submit every BMC query through it.
  *
  * Threading contract: a single orchestrator thread calls eval()/
- * evalBatch()/flushStore(). Simulation tasks on other threads may read
- * the design meanwhile.
+ * flushStore(). Simulation tasks on other threads may read the design
+ * meanwhile.
  */
 class EnginePool
 {
   public:
+    /**
+     * @p store is the persistent verdict store (not owned; nullptr =
+     * none). When set (and enabled), the pool turns on bmc proof
+     * capture, attaches the store to the query cache for read-through,
+     * write-throughs Reachable/Undetermined verdicts as they complete,
+     * and defers Unreachable-with-proof records until flushStore()
+     * serializes the engine's proof context they reference. Verdicts are
+     * store-invariant: a store hit replays the identical compressed
+     * result a memory hit would.
+     */
     EnginePool(const Design &design, const bmc::EngineConfig &engine_cfg,
-               const ExecConfig &exec_cfg = {});
+               store::VerdictStore *store = nullptr);
     ~EnginePool();
 
     EnginePool(const EnginePool &) = delete;
     EnginePool &operator=(const EnginePool &) = delete;
 
-    /** Evaluate one query: a cache or store hit, else a solve on the
-     *  pool's engine, on the calling thread. */
-    bmc::CoverResult eval(const Query &q);
-
     /**
-     * Evaluate a batch of independent queries with eval(), in order;
-     * results are returned in submission order. A duplicate within the
-     * batch is a cache hit of its first occurrence.
+     * Evaluate one any-frame cover of @p seq under @p assumes: a cache
+     * or store hit, else a solve on the pool's engine, on the calling
+     * thread. A repeated query is a cache hit of its first occurrence.
      */
-    std::vector<bmc::CoverResult> evalBatch(const std::vector<Query> &qs);
+    bmc::CoverResult eval(const prop::ExprRef &seq,
+                          const std::vector<prop::ExprRef> &assumes);
 
     /**
      * Publish all deferred Unreachable-with-proof records: serialize the

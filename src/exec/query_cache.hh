@@ -58,7 +58,8 @@ struct QueryKeyHash
  *
  * @p design_fp is the structural fingerprint of the design the engine
  * unrolls (designFingerprint()); @p fixed_frame is -1 for any-frame
- * covers, matching bmc::Engine::cover vs coverAt.
+ * covers (bmc::Engine::cover), the only kind EnginePool issues. The slot
+ * stays in the key so stores written by earlier builds keep hitting.
  */
 QueryKey makeQueryKey(uint64_t design_fp, const bmc::EngineConfig &cfg,
                       const prop::ExprRef &seq,
@@ -176,7 +177,6 @@ class QueryCache
      * records reference). The cache never owns the store.
      */
     void attachStore(store::VerdictStore *s) { store_ = s; }
-    store::VerdictStore *attachedStore() const { return store_; }
 
     CacheStats stats() const;
 

@@ -67,21 +67,12 @@ MuPathSynthesizer::MuPathSynthesizer(const designs::Harness &harness,
                                      const SynthesisConfig &config)
     : hx(harness), cfg(config),
       pool_(harness.design(), engineConfigFor(harness, config),
-            exec::ExecConfig{.store = config.store}),
+            config.store),
       base(harness.baseAssumes())
 {
     stats_.resize(kNumSteps);
     for (size_t i = 0; i < kNumSteps; i++)
         stats_[i].step = kStepNames[i];
-}
-
-exec::Query
-MuPathSynthesizer::mkQuery(const ExprRef &seq,
-                           std::vector<ExprRef> assumes) const
-{
-    for (const auto &a : base)
-        assumes.push_back(a);
-    return exec::Query{seq, std::move(assumes), -1};
 }
 
 namespace
@@ -100,14 +91,14 @@ tallyQuery(StepStats &st, const CoverResult &r)
 }
 
 void
-traceQuery(const Design &d, size_t step, const exec::Query &q,
+traceQuery(const Design &d, size_t step, const ExprRef &seq,
            const CoverResult &r)
 {
     static const bool trace = std::getenv("RMP_TRACE_QUERIES") != nullptr;
     if (trace)
         std::fprintf(stderr, "[%s %s %.2fs] %s\n", kStepNames[step],
                      bmc::outcomeName(r.outcome), r.seconds,
-                     q.seq->str(d).substr(0, 60).c_str());
+                     seq->str(d).substr(0, 60).c_str());
 }
 
 } // anonymous namespace
@@ -116,34 +107,18 @@ CoverResult
 MuPathSynthesizer::query(size_t step, const ExprRef &seq,
                          std::vector<ExprRef> assumes)
 {
-    exec::Query q = mkQuery(seq, std::move(assumes));
-    CoverResult r = pool_.eval(q);
-    traceQuery(hx.design(), step, q, r);
-    tallyQuery(stats_[step], r);
+    assumes.insert(assumes.end(), base.begin(), base.end());
+    CoverResult r = pool_.eval(seq, assumes);
+    traceQuery(hx.design(), step, seq, r);
+    StepStats &st = stats_[step];
+    tallyQuery(st, r);
     if (obs::enabled())
         obs::Registry::global()
             .counter("r2m.covers", {{"step", kStepNames[step]},
                                     {"design", hx.design().name()}})
             .add(1);
+    obs::progress(kStepNames[step], st.queries, 0, hx.design().name());
     return r;
-}
-
-std::vector<CoverResult>
-MuPathSynthesizer::queryBatch(size_t step, std::vector<exec::Query> qs)
-{
-    std::vector<CoverResult> rs = pool_.evalBatch(qs);
-    for (size_t i = 0; i < rs.size(); i++) {
-        traceQuery(hx.design(), step, qs[i], rs[i]);
-        tallyQuery(stats_[step], rs[i]);
-    }
-    if (obs::enabled() && !rs.empty())
-        obs::Registry::global()
-            .counter("r2m.covers", {{"step", kStepNames[step]},
-                                    {"design", hx.design().name()}})
-            .add(rs.size());
-    obs::progress(kStepNames[step], stats_[step].queries, 0,
-                  hx.design().name());
-    return rs;
 }
 
 const SimFacts &
@@ -152,18 +127,15 @@ MuPathSynthesizer::facts(InstrId iuv)
     auto it = factsCache.find(iuv);
     if (it != factsCache.end())
         return it->second;
-    SimFacts f;
-    if (cfg.useSimExploration) {
-        auto t0 = std::chrono::steady_clock::now();
-        f = exploreSim(hx, iuv, cfg.explore, cfg.jobs);
-        auto t1 = std::chrono::steady_clock::now();
-        StepStats &st = stats_[kSimExplore];
-        st.queries += cfg.explore.runs;
-        st.reachable += f.sets.size();
-        st.seconds += std::chrono::duration<double>(t1 - t0).count();
-        obs::progress(kStepNames[kSimExplore], st.queries, 0,
-                      hx.design().name());
-    }
+    auto t0 = std::chrono::steady_clock::now();
+    SimFacts f = exploreSim(hx, iuv, cfg.explore, cfg.jobs);
+    auto t1 = std::chrono::steady_clock::now();
+    StepStats &st = stats_[kSimExplore];
+    st.queries += cfg.explore.runs;
+    st.reachable += f.sets.size();
+    st.seconds += std::chrono::duration<double>(t1 - t0).count();
+    obs::progress(kStepNames[kSimExplore], st.queries, 0,
+                  hx.design().name());
     return factsCache.emplace(iuv, std::move(f)).first->second;
 }
 
@@ -172,13 +144,8 @@ MuPathSynthesizer::duvPls()
 {
     if (duvPlsDone)
         return duvPls_;
-    // Step-1 covers are mutually independent: one batch through the pool.
-    std::vector<exec::Query> qs;
     for (PlId p = 0; p < hx.numPls(); p++)
-        qs.push_back(mkQuery(pBit(hx.plSig(p).occupied), {}));
-    std::vector<CoverResult> rs = queryBatch(kDuvPl, std::move(qs));
-    for (PlId p = 0; p < hx.numPls(); p++)
-        if (rs[p].reachable())
+        if (query(kDuvPl, pBit(hx.plSig(p).occupied), {}).reachable())
             duvPls_.push_back(p);
     duvPlsDone = true;
     return duvPls_;
@@ -188,26 +155,19 @@ std::vector<PlId>
 MuPathSynthesizer::iuvPls(InstrId iuv)
 {
     const SimFacts &f = facts(iuv);
-    // Per-PL step-2 covers are independent; batch the ones simulation did
-    // not already discharge, then merge in original PL order.
-    std::vector<std::pair<PlId, int>> slots; // (pl, query idx | -1)
-    std::vector<exec::Query> qs;
+    // Covers only for the PLs simulation did not already discharge.
+    std::vector<PlId> out;
     for (PlId p : duvPls()) {
         if (f.iuvPls.count(p)) {
-            slots.emplace_back(p, -1); // reachable with a sim witness
+            out.push_back(p); // reachable with a sim witness
             continue;
         }
-        if (!cfg.closureChecks && cfg.useSimExploration)
+        if (!cfg.closureChecks)
             continue; // semi-formal profile: unobserved => unreachable
-        slots.emplace_back(p, static_cast<int>(qs.size()));
-        qs.push_back(
-            mkQuery(pBit(hx.plSig(p).iuvAt), {hx.assumeIuvIs(iuv)}));
-    }
-    std::vector<CoverResult> rs = queryBatch(kIuvPl, std::move(qs));
-    std::vector<PlId> out;
-    for (auto [p, qi] : slots)
-        if (qi < 0 || rs[qi].reachable())
+        if (query(kIuvPl, pBit(hx.plSig(p).iuvAt), {hx.assumeIuvIs(iuv)})
+                .reachable())
             out.push_back(p);
+    }
     return out;
 }
 
@@ -223,61 +183,29 @@ MuPathSynthesizer::pruneFacts(InstrId iuv, const std::vector<PlId> &iuv_pls)
     ExprRef is_iuv = hx.assumeIuvIs(iuv);
     ExprRef gone = pBit(hx.iuvGone);
 
-    // Mandatory: no completed execution misses the PL. The n covers are
-    // independent: one batch.
-    {
-        std::vector<exec::Query> qs;
-        for (size_t i = 0; i < n; i++) {
-            ExprRef vis = pBit(hx.plSig(iuv_pls[i]).iuvVisited);
-            qs.push_back(mkQuery(pAnd(gone, pNot(vis)), {is_iuv}));
-        }
-        std::vector<CoverResult> rs = queryBatch(kPrune, std::move(qs));
-        // Note the polarity: an unreachable cover *proves* the fact; an
-        // undetermined one must conservatively deny it (§VII-B4).
-        for (size_t i = 0; i < n; i++)
-            f.mandatory[i] = rs[i].outcome == Outcome::Unreachable;
-    }
-    // Exclusive / dominance facts. Which dominance covers run depends only
-    // on the mandatory wave above, so the remaining O(n^2) covers form a
-    // second independent batch (same queries and skip rule as issuing them
-    // sequentially).
-    {
-        struct Slot
-        {
-            size_t i, j;
-            bool excl;
-        };
-        std::vector<Slot> slots;
-        std::vector<exec::Query> qs;
-        for (size_t i = 0; i < n; i++) {
-            for (size_t j = 0; j < n; j++) {
-                if (i == j)
-                    continue;
-                ExprRef vi = pBit(hx.plSig(iuv_pls[i]).iuvVisited);
-                ExprRef vj = pBit(hx.plSig(iuv_pls[j]).iuvVisited);
-                if (i < j) {
-                    // Exclusive: both visited is unreachable.
-                    slots.push_back({i, j, true});
-                    qs.push_back(mkQuery(pAnd(vi, vj), {is_iuv}));
-                }
-                if (f.mandatory[i])
-                    continue; // dominance implied; skip the query
-                // dom[i][j]: visiting j implies visiting i.
-                slots.push_back({i, j, false});
-                qs.push_back(
-                    mkQuery(pAnd(gone, pAnd(vj, pNot(vi))), {is_iuv}));
-            }
-        }
-        std::vector<CoverResult> rs = queryBatch(kPrune, std::move(qs));
-        for (size_t k = 0; k < slots.size(); k++) {
-            bool proven = rs[k].outcome == Outcome::Unreachable;
-            const Slot &s = slots[k];
-            if (s.excl) {
-                f.excl[s.i][s.j] = proven;
-                f.excl[s.j][s.i] = proven;
-            } else {
-                f.dom[s.i][s.j] = proven;
-            }
+    // Note the polarity: an unreachable cover *proves* a fact; an
+    // undetermined one must conservatively deny it (§VII-B4).
+    auto proves = [&](const ExprRef &seq) {
+        return query(kPrune, seq, {is_iuv}).outcome == Outcome::Unreachable;
+    };
+    // Mandatory: no completed execution misses the PL. This wave runs
+    // first because it decides which dominance covers below are skipped.
+    for (size_t i = 0; i < n; i++)
+        f.mandatory[i] =
+            proves(pAnd(gone, pNot(pBit(hx.plSig(iuv_pls[i]).iuvVisited))));
+    // Exclusive / dominance facts.
+    for (size_t i = 0; i < n; i++) {
+        for (size_t j = 0; j < n; j++) {
+            if (i == j)
+                continue;
+            ExprRef vi = pBit(hx.plSig(iuv_pls[i]).iuvVisited);
+            ExprRef vj = pBit(hx.plSig(iuv_pls[j]).iuvVisited);
+            if (i < j) // exclusive: both visited is unreachable
+                f.excl[i][j] = f.excl[j][i] = proves(pAnd(vi, vj));
+            if (f.mandatory[i])
+                continue; // dominance implied; skip the query
+            // dom[i][j]: visiting j implies visiting i.
+            f.dom[i][j] = proves(pAnd(gone, pAnd(vj, pNot(vi))));
         }
     }
     for (size_t i = 0; i < n; i++)
@@ -392,19 +320,14 @@ MuPathSynthesizer::reachableSetsPaper(InstrId iuv,
     ExprRef is_iuv = hx.assumeIuvIs(iuv);
     ExprRef gone = pBit(hx.iuvGone);
     PruneFacts facts = pruneFacts(iuv, iuv_pls);
-    auto cands = enumerateCandidateSets(facts);
-    // One exact-visited-set cover per surviving candidate, all mutually
-    // independent: a single batch through the pool.
-    std::vector<exec::Query> qs;
-    for (const auto &set : cands) {
-        ExprRef exact = exprVisitedExactly(iuv_pls, set);
-        qs.push_back(mkQuery(pAnd(gone, exact), {is_iuv}));
-    }
-    std::vector<CoverResult> rs = queryBatch(kSetReach, std::move(qs));
+    // One exact-visited-set cover per surviving candidate.
     std::vector<std::pair<std::vector<PlId>, bmc::Witness>> out;
-    for (size_t k = 0; k < cands.size(); k++)
-        if (rs[k].outcome == Outcome::Reachable)
-            out.emplace_back(cands[k], std::move(rs[k].witness));
+    for (auto &set : enumerateCandidateSets(facts)) {
+        CoverResult r = query(
+            kSetReach, pAnd(gone, exprVisitedExactly(iuv_pls, set)), {is_iuv});
+        if (r.outcome == Outcome::Reachable)
+            out.emplace_back(std::move(set), std::move(r.witness));
+    }
     return out;
 }
 
@@ -559,40 +482,32 @@ MuPathSynthesizer::synthesize(InstrId iuv)
             }
         }
 
-        // Step 6b: revisit cycle counts (§V-B6 mode (i)). The per-(p, k)
-        // probes under this set are independent: one batch per set.
+        // Step 6b: revisit cycle counts (§V-B6 mode (i)), one probe per
+        // (p, k) that simulation did not observe.
         if (cfg.revisitCounts) {
             unsigned maxk = std::min(
                 cfg.maxRevisitCount,
                 (1u << designs::Harness::kCountWidth) - 1);
-            std::vector<std::tuple<PlId, unsigned, int>> probes;
-            std::vector<exec::Query> qs;
             for (PlId p : set) {
                 if (path.revisit[p] == Revisit::None)
                     continue;
-                path.revisitCounts[p]; // materialize (possibly empty)
+                // Materialized even when it stays empty.
+                std::vector<unsigned> &counts = path.revisitCounts[p];
                 for (unsigned k = 1; k <= maxk; k++) {
-                    if (sf && sf->counts.count(p) &&
-                        sf->counts.at(p).count(k)) {
-                        probes.emplace_back(p, k, -1);
-                        continue;
-                    }
-                    if (!cfg.closureChecks)
-                        continue;
-                    probes.emplace_back(p, k,
-                                        static_cast<int>(qs.size()));
-                    qs.push_back(mkQuery(
-                        pAnd(gone,
-                             pAnd(exact,
-                                  pEq(hx.plSig(p).visitCount, k))),
-                        {is_iuv}));
+                    bool seen = sf && sf->counts.count(p) &&
+                                sf->counts.at(p).count(k);
+                    if (!seen && cfg.closureChecks)
+                        seen = query(kRevisitCount,
+                                     pAnd(gone,
+                                          pAnd(exact,
+                                               pEq(hx.plSig(p).visitCount,
+                                                   k))),
+                                     {is_iuv})
+                                   .reachable();
+                    if (seen)
+                        counts.push_back(k);
                 }
             }
-            std::vector<CoverResult> rs =
-                queryBatch(kRevisitCount, std::move(qs));
-            for (auto [p, k, qi] : probes)
-                if (qi < 0 || rs[qi].reachable())
-                    path.revisitCounts[p].push_back(k);
         }
 
         result.paths.push_back(std::move(path));

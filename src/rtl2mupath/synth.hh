@@ -44,12 +44,12 @@ struct SynthesisConfig
      *  of a timeout (§VII-B3/B4). */
     sat::SatBudget budget{};
     /**
-     * Seed the synthesis with randomized-simulation exploration: facts
+     * Randomized-simulation exploration that seeds the synthesis: facts
      * discovered by simulation are Reachable-with-witness and skip their
      * BMC covers; the engine then only runs closure and negative queries
-     * (the semi-formal mode; see sim_explore.hh).
+     * (the semi-formal mode; see sim_explore.hh). explore.runs = 0 turns
+     * it off.
      */
-    bool useSimExploration = true;
     SimExploreConfig explore{};
     /**
      * Run the BMC closure/negative queries (IUV-PL unreachability,
@@ -91,7 +91,7 @@ struct SynthesisConfig
     /** Audit Unreachable verdicts against the solver's DRAT trace
      *  (bmc::EngineConfig::auditProof). */
     bool auditProof = false;
-    /** Persistent verdict store (not owned; see exec::ExecConfig::store).
+    /** Persistent verdict store (not owned; see exec::EnginePool).
      *  Synthesized μPATHs are store-invariant: hits replay the identical
      *  verdicts the solver produced when the records were written. */
     store::VerdictStore *store = nullptr;
@@ -160,8 +160,8 @@ class MuPathSynthesizer
     /** Per-step statistics accumulated so far. */
     const std::vector<StepStats> &stepStats() const { return stats_; }
 
-    /** Simulation-exploration facts for @p iuv (cached; empty when the
-     *  semi-formal mode is disabled). */
+    /** Simulation-exploration facts for @p iuv (cached; empty when
+     *  explore.runs is 0). */
     const SimFacts &facts(uhb::InstrId iuv);
 
     /** Underlying engine pool (aggregate SAT/cache statistics). */
@@ -170,21 +170,14 @@ class MuPathSynthesizer
     const designs::Harness &harness() const { return hx; }
 
   private:
-    /** Build a pool query: seq under @p assumes plus the base assumes. */
-    exec::Query mkQuery(const prop::ExprRef &seq,
-                        std::vector<prop::ExprRef> assumes) const;
-
-    /** Evaluate a cover, tally into the stats bucket for @p step. */
+    /**
+     * Issue one cover: @p seq under @p assumes plus the base assumes,
+     * through the pool. Tallies it into the stats bucket for @p step and
+     * reports the step's progress.
+     */
     bmc::CoverResult query(size_t step, const prop::ExprRef &seq,
                            std::vector<prop::ExprRef> assumes);
 
-    /**
-     * Evaluate a batch of *independent* covers through the pool; results
-     * (and the per-step tallies, applied in submission order) are
-     * identical to issuing the queries sequentially.
-     */
-    std::vector<bmc::CoverResult> queryBatch(size_t step,
-                                             std::vector<exec::Query> qs);
     prop::ExprRef exprVisitedExactly(
         const std::vector<uhb::PlId> &iuv_pls,
         const std::vector<uhb::PlId> &set) const;

@@ -180,20 +180,18 @@ VerdictStore::defaultRoot()
     return cacheDir("store");
 }
 
-VerdictStore::VerdictStore(std::string root, bool sync)
+VerdictStore::VerdictStore(std::string root)
     // Per-instance labels, same scheme as exec::QueryCache: concurrent
     // stores (tests) keep individually exact counters.
-    : VerdictStore(std::move(root), sync, [] {
+    : VerdictStore(std::move(root), [] {
           static std::atomic<uint64_t> next{0};
           return obs::Labels{{"store", std::to_string(next.fetch_add(1))}};
       }())
 {
 }
 
-VerdictStore::VerdictStore(std::string root, bool sync,
-                           const obs::Labels &labels)
+VerdictStore::VerdictStore(std::string root, const obs::Labels &labels)
     : root_(root.empty() ? defaultRoot() : std::move(root)),
-      sync_(sync),
       hits_(obs::Registry::global().counter("store.hits", labels)),
       misses_(obs::Registry::global().counter("store.misses", labels)),
       collisions_(
@@ -375,7 +373,7 @@ VerdictStore::flusherMain()
         lock.unlock();
         std::error_code ec;
         fs::create_directories(fs::path(op.path).parent_path(), ec);
-        atomicWriteFile(op.path, *op.bytes, op.sync);
+        atomicWriteFile(op.path, *op.bytes);
         lock.lock();
         auto it = pending_.find(op.path);
         if (it != pending_.end() && it->second == op.bytes)
@@ -385,7 +383,7 @@ VerdictStore::flusherMain()
 }
 
 void
-VerdictStore::enqueueWrite(std::string path, std::string bytes, bool sync)
+VerdictStore::enqueueWrite(std::string path, std::string bytes)
 {
     auto sp = std::make_shared<const std::string>(std::move(bytes));
     std::unique_lock<std::mutex> lock(qmu_);
@@ -393,7 +391,7 @@ VerdictStore::enqueueWrite(std::string path, std::string bytes, bool sync)
     // than growing the heap without limit.
     qspace_.wait(lock, [this] { return queue_.size() < kMaxQueuedWrites; });
     pending_[path] = sp;
-    queue_.push_back(WriteOp{std::move(path), std::move(sp), sync});
+    queue_.push_back(WriteOp{std::move(path), std::move(sp)});
     qcv_.notify_one();
 }
 
@@ -490,7 +488,7 @@ VerdictStore::put(uint64_t keyLo, uint64_t keyHi,
             return true; // identical key already stored
         }
     }
-    enqueueWrite(path, serializeRecord(keyBytes, rec), sync_);
+    enqueueWrite(path, serializeRecord(keyBytes, rec));
     writes_.add(1);
     return true;
 }
@@ -512,10 +510,10 @@ VerdictStore::putBlob(const std::string &bytes, Hash128 *addr)
         blobDedups_.add(1);
         return true;
     }
-    // Blobs are always fsynced, and FIFO order through the flusher
-    // publishes a blob before any record enqueued after it: a record
-    // must not reference a hole after a crash.
-    enqueueWrite(path, sealEnvelope(kBlobMagic, bytes), true);
+    // FIFO order through the flusher publishes (and fsyncs) a blob
+    // before any record enqueued after it: a record must not reference a
+    // hole after a crash.
+    enqueueWrite(path, sealEnvelope(kBlobMagic, bytes));
     blobWrites_.add(1);
     return true;
 }

@@ -199,11 +199,11 @@ class VerdictStore
     /**
      * @p root "" resolves to defaultRoot(). A store whose root cannot be
      * created is disabled: every get misses, every put is a no-op.
-     * @p sync fsyncs each record before the rename (fsync-on-commit);
-     * blobs are always synced (a record may reference its blob
-     * immediately after a crash).
+     * Every record and blob is fsynced before its rename
+     * (fsync-on-commit), so a record may reference its blob immediately
+     * after a crash.
      */
-    explicit VerdictStore(std::string root = "", bool sync = true);
+    explicit VerdictStore(std::string root = "");
     ~VerdictStore();
 
     VerdictStore(const VerdictStore &) = delete;
@@ -319,7 +319,7 @@ class VerdictStore
                             VerdictRecord *rec);
 
   private:
-    VerdictStore(std::string root, bool sync, const obs::Labels &labels);
+    VerdictStore(std::string root, const obs::Labels &labels);
 
     /** Load + envelope-check the record file at @p path; quarantines and
      *  counts on corruption. Returns false if absent or rejected. */
@@ -329,7 +329,7 @@ class VerdictStore
 
     /** Hand a sealed file to the background flusher (FIFO). Blocks when
      *  the queue is at capacity (bounded backpressure). */
-    void enqueueWrite(std::string path, std::string bytes, bool sync);
+    void enqueueWrite(std::string path, std::string bytes);
     /** The pending (not yet published) bytes for @p path, if any. */
     std::shared_ptr<const std::string> pendingBytes(
         const std::string &path) const;
@@ -338,7 +338,6 @@ class VerdictStore
     std::string root_;    ///< "" = disabled
     std::string records_; ///< root_/records
     std::string blobs_;   ///< root_/blobs
-    bool sync_ = true;
 
     /** @name Background flusher (started when the store is enabled) */
     /// @{
@@ -347,7 +346,6 @@ class VerdictStore
     {
         std::string path;
         std::shared_ptr<const std::string> bytes;
-        bool sync = true;
     };
     mutable std::mutex qmu_;
     std::condition_variable qcv_;     ///< flusher: work available / stop

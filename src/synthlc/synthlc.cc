@@ -88,8 +88,7 @@ SynthLc::SynthLc(const designs::Harness &harness, const SynthLcConfig &config)
     : hx(harness), cfg(config),
       inst(ift::instrument(hx.design(), iftConfigFor(harness))),
       fsmTaint(buildFsmTaintWires(harness, inst)),
-      pool_(*inst.design, engineConfigFor(harness, config),
-            exec::ExecConfig{.store = config.store}),
+      pool_(*inst.design, engineConfigFor(harness, config), config.store),
       base(hx.baseAssumes())
 {
 }
@@ -395,41 +394,22 @@ SynthLc::analyze(InstrId transponder, const std::vector<Decision> &decisions,
             .counter("slc.sim_hits", {{"design", hx.design().name()}})
             .add(batch_hits);
 
-    // Phase B: the decision_taint covers the simulations did not
-    // discharge. All of them — across every batch — are mutually
-    // independent, so they go through the pool as one batch; verdicts
-    // are tallied in submission order.
-    std::vector<exec::Query> qs;
-    for (size_t k = 0; k < batches.size(); k++) {
-        for (auto &[src, ds] : sources) {
-            for (const Decision &d : ds) {
-                if (hits[k].count({src, d}))
-                    continue;
-                qs.push_back(exec::Query{
-                    coverExpr(d, universe[src]),
-                    queryAssumes(transponder, batches[k].t, batches[k].op,
-                                 batches[k].type, src),
-                    -1});
-            }
-        }
-    }
-    span.arg("probes", qs.size());
-    if (obs::enabled())
-        obs::Registry::global()
-            .counter("slc.probes", {{"design", hx.design().name()}})
-            .add(qs.size());
-    std::vector<bmc::CoverResult> rs = pool_.evalBatch(qs);
-
-    // Per-(decision) tag accumulation, in the canonical batch order.
+    // Phase B: per-(decision) tag accumulation, in the canonical batch
+    // order. A decision_taint cover the simulations did not discharge is
+    // probed right where its tag is decided.
     std::map<std::pair<PlId, Decision>, std::vector<TransmitterInput>>
         tags;
-    size_t pi = 0;
+    uint64_t probes = 0;
     for (size_t k = 0; k < batches.size(); k++) {
         for (auto &[src, ds] : sources) {
             for (const Decision &d : ds) {
                 bool hit = hits[k].count({src, d}) > 0;
                 if (!hit) {
-                    const bmc::CoverResult &r = rs[pi++];
+                    bmc::CoverResult r = pool_.eval(
+                        coverExpr(d, universe[src]),
+                        queryAssumes(transponder, batches[k].t,
+                                     batches[k].op, batches[k].type, src));
+                    probes++;
                     stats_.queries++;
                     stats_.seconds += r.seconds;
                     switch (r.outcome) {
@@ -451,7 +431,11 @@ SynthLc::analyze(InstrId transponder, const std::vector<Decision> &decisions,
             }
         }
     }
-    rmp_assert(pi == rs.size(), "probe/result count mismatch");
+    span.arg("probes", probes);
+    if (obs::enabled())
+        obs::Registry::global()
+            .counter("slc.probes", {{"design", hx.design().name()}})
+            .add(probes);
 
     std::vector<LeakageSignature> out;
     for (auto &[src, ds] : sources) {

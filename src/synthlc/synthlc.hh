@@ -149,7 +149,7 @@ struct SynthLcConfig
     /** Audit Unreachable verdicts against the solver's DRAT trace
      *  (bmc::EngineConfig::auditProof). */
     bool auditProof = false;
-    /** Persistent verdict store (not owned; see exec::ExecConfig::store). */
+    /** Persistent verdict store (not owned; see exec::EnginePool). */
     store::VerdictStore *store = nullptr;
 };
 

@@ -1,8 +1,8 @@
 /**
  * @file
- * Tests for src/analysis: sequential cone-of-influence (backward and
- * forward, with register-depth limits), the netlist lint over seeded
- * defects (exact rule and severity per defect), and IFT soundness lint.
+ * Tests for src/analysis: the backward sequential cone of influence,
+ * the netlist lint over seeded defects (exact rule and severity per
+ * defect), and IFT soundness lint.
  */
 
 #include <gtest/gtest.h>
@@ -110,11 +110,9 @@ TEST(Coi, BackwardConeCrossesRegisterBoundaries)
     EXPECT_EQ(comb, (std::vector<SigId>{t.ra}));
     Cone c = analysis::backwardCone(t.d, {t.hit_a});
     EXPECT_TRUE(c.contains(t.a));
-}
 
-TEST(Coi, BackwardConeDepthLimit)
-{
-    // r0 <- in, r1 <- r0, r2 <- r1: a 3-deep register pipeline.
+    // r0 <- in, r1 <- r0, r2 <- r1: an input behind three registers is
+    // still in the cone.
     Design d("pipe");
     Builder b(d);
     Sig in = b.input("in", 4);
@@ -126,24 +124,9 @@ TEST(Coi, BackwardConeDepthLimit)
     b.assign(r2, r1.q);
     Sig out = b.named("out", r2.q == b.lit(4, 3));
     b.finalize();
-
-    // Depth 1: r2 is entered, its next-state (r1) is a member at the
-    // limit, but r1's own next-state logic is not explored.
-    Cone c1 = analysis::backwardCone(d, {out.id}, 1);
-    EXPECT_TRUE(c1.contains(r2.q.id));
-    EXPECT_TRUE(c1.contains(r1.q.id));
-    EXPECT_FALSE(c1.contains(r0.q.id));
-    EXPECT_FALSE(c1.contains(in.id));
-    Cone c2 = analysis::backwardCone(d, {out.id}, 2);
-    EXPECT_TRUE(c2.contains(r0.q.id));
-    EXPECT_FALSE(c2.contains(in.id));
-    Cone cfix = analysis::backwardCone(d, {out.id});
-    EXPECT_TRUE(cfix.contains(in.id));
-    EXPECT_LT(c1.size(), c2.size());
-    EXPECT_LT(c2.size(), cfix.size());
-    // Distinct depth limits -> distinct member sets.
-    EXPECT_NE(c1.cells, c2.cells);
-    EXPECT_NE(c2.cells, cfix.cells);
+    Cone pipe = analysis::backwardCone(d, {out.id});
+    for (SigId id : {r2.q.id, r1.q.id, r0.q.id, in.id})
+        EXPECT_TRUE(pipe.contains(id)) << id;
 }
 
 TEST(Coi, FingerprintIsRootOrderInsensitive)
@@ -154,23 +137,6 @@ TEST(Coi, FingerprintIsRootOrderInsensitive)
     EXPECT_EQ(c1.cells, c2.cells);
     Cone ca = analysis::backwardCone(t.d, {t.hit_a});
     EXPECT_NE(ca.cells, c1.cells);
-}
-
-TEST(Coi, ForwardReachFollowsRegisters)
-{
-    TwoChains t;
-    auto fwd = analysis::forwardReach(t.d, {t.a});
-    // a feeds ra's next-state, ra, and the hit_a comparator...
-    EXPECT_TRUE(std::find(fwd.begin(), fwd.end(), t.ra) != fwd.end());
-    EXPECT_TRUE(std::find(fwd.begin(), fwd.end(), t.hit_a) != fwd.end());
-    // ...but never the rb chain.
-    EXPECT_TRUE(std::find(fwd.begin(), fwd.end(), t.rb) == fwd.end());
-    EXPECT_TRUE(std::find(fwd.begin(), fwd.end(), t.hit_b) == fwd.end());
-
-    // Depth 0 stops at the register's input edge: ra itself (a
-    // register crossing) is out of reach.
-    auto fwd0 = analysis::forwardReach(t.d, {t.a}, 0);
-    EXPECT_TRUE(std::find(fwd0.begin(), fwd0.end(), t.ra) == fwd0.end());
 }
 
 // --------------------------------------------------------------- lint --

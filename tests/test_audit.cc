@@ -210,15 +210,13 @@ TEST(Audit, PoolVerdictsJobsInvariantUnderAuditAndBudget)
     cfg.auditReplay = true;
     cfg.auditProof = true;
 
-    std::vector<Query> qs;
-    for (uint64_t v : {60491ULL, 35ULL, 6ULL, 59989ULL, 12ULL, 143ULL})
-        qs.push_back(Query{pEq(fd.prod, v), {}, -1});
-
     EnginePool pa(fd.d, cfg);
     EnginePool pb(fd.d, cfg);
-    auto ra = pa.evalBatch(qs);
-    auto rb = pb.evalBatch(qs);
-    ASSERT_EQ(ra.size(), rb.size());
+    std::vector<CoverResult> ra, rb;
+    for (uint64_t v : {60491ULL, 35ULL, 6ULL, 59989ULL, 12ULL, 143ULL}) {
+        ra.push_back(pa.eval(pEq(fd.prod, v), {}));
+        rb.push_back(pb.eval(pEq(fd.prod, v), {}));
+    }
     for (size_t i = 0; i < ra.size(); i++) {
         EXPECT_EQ(ra[i].outcome, rb[i].outcome) << "query " << i;
         EXPECT_FALSE(ra[i].audit.mismatch);
@@ -229,7 +227,7 @@ TEST(Audit, PoolVerdictsJobsInvariantUnderAuditAndBudget)
     EXPECT_EQ(sa.engine.auditProofChecked, sb.engine.auditProofChecked);
     EXPECT_EQ(sa.engine.auditMismatches, 0u);
     EXPECT_EQ(sb.engine.auditMismatches, 0u);
-    // Every solver-backed verdict in this batch was audited one way or
+    // Every solver-backed verdict in this run was audited one way or
     // the other.
     EXPECT_EQ(sa.engine.auditReplayed + sa.engine.auditProofChecked,
               sa.engine.reachable + sa.engine.unreachable);
@@ -239,10 +237,9 @@ TEST(Audit, CacheHitsDoNotReAudit)
 {
     CounterDesign cd;
     EnginePool pool(cd.d, auditedCfg(10));
-    Query q{pEq(cd.cnt, 7), {}, -1};
-    CoverResult first = pool.eval(q);
+    CoverResult first = pool.eval(pEq(cd.cnt, 7), {});
     ASSERT_EQ(first.outcome, Outcome::Reachable);
-    CoverResult again = pool.eval(q);
+    CoverResult again = pool.eval(pEq(cd.cnt, 7), {});
     EXPECT_EQ(again.outcome, Outcome::Reachable);
     PoolStats s = pool.stats();
     // One solver evaluation, one audit; the hit replays the memoized

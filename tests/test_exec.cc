@@ -2,9 +2,9 @@
  * @file
  * Tests for the evaluation layer (src/exec): engine-pool eval vs. a
  * direct engine, cross-query memoization (hits replay identical
- * results, including witnesses), in-batch deduplication, one engine per
- * pool answering in submission order, SAT-budget exhaustion surfacing
- * end-to-end as Undetermined, and the process worker pool's
+ * results, including witnesses), repeated-query deduplication, one
+ * engine per pool answering in submission order, SAT-budget exhaustion
+ * surfacing end-to-end as Undetermined, and the process worker pool's
  * parallelFor (every index once, nested calls, width 1 on the caller).
  */
 
@@ -107,7 +107,7 @@ TEST(Exec, EvalMatchesDirectEngine)
     CoverResult direct = eng.cover(pEq(cd.cnt, 7), {});
 
     EnginePool pool(cd.d, counterCfg());
-    CoverResult pooled = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
+    CoverResult pooled = pool.eval(pEq(cd.cnt, 7), {});
     expectSameResult(direct, pooled, cd.cnt);
     EXPECT_EQ(pooled.witness.matchFrame, 7u);
 }
@@ -116,8 +116,8 @@ TEST(Exec, RepeatedQueryHitsCacheAndReplaysWitness)
 {
     CounterDesign cd;
     EnginePool pool(cd.d, counterCfg());
-    CoverResult first = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
-    CoverResult again = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
+    CoverResult first = pool.eval(pEq(cd.cnt, 7), {});
+    CoverResult again = pool.eval(pEq(cd.cnt, 7), {});
     expectSameResult(first, again, cd.cnt);
 
     PoolStats s = pool.stats();
@@ -131,36 +131,36 @@ TEST(Exec, DistinctAssumesAndFramesAreDistinctCacheKeys)
 {
     CounterDesign cd;
     EnginePool pool(cd.d, counterCfg());
-    CoverResult plain = pool.eval(Query{pEq(cd.cnt, 7), {}, -1});
+    CoverResult plain = pool.eval(pEq(cd.cnt, 7), {});
     // Same cover under a tautological assume: a different cache key even
     // though the verdict cannot change.
     ExprRef tauto = pOr(pEq(cd.cnt, 7), pNot(pEq(cd.cnt, 7)));
-    CoverResult assumed = pool.eval(Query{pEq(cd.cnt, 7), {tauto}, -1});
-    // Same cover pinned to a fixed frame: also a different query.
-    CoverResult pinned = pool.eval(Query{pEq(cd.cnt, 7), {}, 7});
+    CoverResult assumed = pool.eval(pEq(cd.cnt, 7), {tauto});
     EXPECT_EQ(plain.outcome, Outcome::Reachable);
     EXPECT_EQ(assumed.outcome, Outcome::Reachable);
-    EXPECT_EQ(pinned.outcome, Outcome::Reachable);
     PoolStats s = pool.stats();
     EXPECT_EQ(s.cache.hits, 0u);
-    EXPECT_EQ(s.cache.misses, 3u);
-    EXPECT_EQ(s.cache.entries, 3u);
+    EXPECT_EQ(s.cache.misses, 2u);
+    EXPECT_EQ(s.cache.entries, 2u);
+    // Same cover pinned to a fixed frame: also a different key (the pool
+    // issues only any-frame covers, frame -1).
+    uint64_t fp = designFingerprint(cd.d);
+    QueryKey any = makeQueryKey(fp, counterCfg(), pEq(cd.cnt, 7), {}, -1);
+    QueryKey pinned = makeQueryKey(fp, counterCfg(), pEq(cd.cnt, 7), {}, 7);
+    EXPECT_FALSE(any == pinned);
+    EXPECT_NE(makeQueryKeyBytes(fp, counterCfg(), pEq(cd.cnt, 7), {}, -1),
+              makeQueryKeyBytes(fp, counterCfg(), pEq(cd.cnt, 7), {}, 7));
 }
 
 TEST(Exec, BatchDeduplicatesAndPreservesOrder)
 {
     CounterDesign cd;
     EnginePool pool(cd.d, counterCfg());
-    std::vector<Query> qs;
-    for (unsigned v = 0; v < 4; v++)
-        qs.push_back(Query{pEq(cd.cnt, v + 3), {}, -1});
-    // Duplicates of the first and third query, plus an unreachable one.
-    qs.push_back(Query{pEq(cd.cnt, 3), {}, -1});
-    qs.push_back(Query{pEq(cd.cnt, 5), {}, -1});
-    qs.push_back(Query{pEq(cd.cnt, 12), {}, -1}); // beyond bound 10
-
-    std::vector<CoverResult> rs = pool.evalBatch(qs);
-    ASSERT_EQ(rs.size(), qs.size());
+    // Counter values 3..6, then repeats of the first and third query,
+    // plus an unreachable one (12 is beyond bound 10).
+    std::vector<CoverResult> rs;
+    for (unsigned v : {3, 4, 5, 6, 3, 5, 12})
+        rs.push_back(pool.eval(pEq(cd.cnt, v), {}));
     for (unsigned v = 0; v < 4; v++) {
         ASSERT_EQ(rs[v].outcome, Outcome::Reachable) << v;
         EXPECT_EQ(rs[v].witness.matchFrame, v + 3);
@@ -171,7 +171,7 @@ TEST(Exec, BatchDeduplicatesAndPreservesOrder)
 
     PoolStats s = pool.stats();
     EXPECT_EQ(s.engine.queries, 5u); // 4 distinct reachable + 1 unreachable
-    EXPECT_EQ(s.cache.hits, 2u);     // the two in-batch duplicates...
+    EXPECT_EQ(s.cache.hits, 2u);     // the two repeats...
     EXPECT_EQ(s.cache.misses, 5u);   // ...which never count as misses
 }
 
@@ -180,18 +180,21 @@ TEST(Exec, PoolBuildsOneUnrolling)
     // A pool unrolls the design once, for its one engine, and answers
     // as another pool over the same design does.
     CounterDesign cd;
-    std::vector<Query> qs;
-    for (unsigned v = 0; v < 16; v++)
-        qs.push_back(Query{pEq(cd.cnt, v), {}, -1});
+    auto evalAll = [&](EnginePool &pool) {
+        std::vector<CoverResult> rs;
+        for (unsigned v = 0; v < 16; v++)
+            rs.push_back(pool.eval(pEq(cd.cnt, v), {}));
+        return rs;
+    };
     EnginePool first(cd.d, counterCfg());
-    std::vector<CoverResult> expected = first.evalBatch(qs);
+    std::vector<CoverResult> expected = evalAll(first);
 
     obs::Counter &frames =
         obs::Registry::global().counter("bmc.unroll.frames");
     obs::setEnabled(true);
     uint64_t before = frames.value();
     EnginePool pool(cd.d, counterCfg());
-    std::vector<CoverResult> got = pool.evalBatch(qs);
+    std::vector<CoverResult> got = evalAll(pool);
     uint64_t unrolled = frames.value() - before;
     obs::setEnabled(false);
     obs::clearTrace();
@@ -214,27 +217,26 @@ TEST(Exec, PoolAnswersLikeOneEngineInSubmissionOrder)
     cfg.bound = 3;
     cfg.budget.maxConflicts = 10;
     ExprRef nontrivial = pAnd(pNot(pEq(fd.a, 1)), pNot(pEq(fd.b, 1)));
-    auto cover = [&](uint64_t v, bool hard, int frame = -1) {
+    struct Cover
+    {
+        ExprRef seq;
+        std::vector<ExprRef> assumes;
+    };
+    auto cover = [&](uint64_t v, bool hard) {
         std::vector<ExprRef> assumes;
         if (hard)
             assumes.push_back(nontrivial);
-        return Query{pEq(fd.prod, v), assumes, frame};
+        return Cover{pEq(fd.prod, v), assumes};
     };
-    // Two batches and three single evals; each duplicate repeats a query
-    // submitted earlier, in its own batch or an earlier call.
-    std::vector<std::vector<Query>> calls = {
-        {cover(FactorDesign::kSemiprime, true), cover(35, false),
-         cover(FactorDesign::kSemiprime, true), cover(59989, true),
-         cover(6, false)},
-        {cover(35, false)},
-        {cover(143, true)},
-        {cover(59989, true), cover(12, false, 1), cover(65521, true),
-         cover(143, true), cover(FactorDesign::kSemiprime, true, 2)},
-        {cover(65521, true)},
+    // Each duplicate repeats a query submitted earlier.
+    std::vector<Cover> all = {
+        cover(FactorDesign::kSemiprime, true), cover(35, false),
+        cover(FactorDesign::kSemiprime, true), cover(59989, true),
+        cover(6, false), cover(35, false), cover(143, true),
+        cover(59989, true), cover(12, false), cover(65521, true),
+        cover(143, true), cover(FactorDesign::kSemiprime, true),
+        cover(65521, true),
     };
-    std::vector<Query> all;
-    for (const auto &c : calls)
-        all.insert(all.end(), c.begin(), c.end());
     // First occurrences, by canonical key: the queries the pool solves.
     uint64_t fp = designFingerprint(fd.d);
     std::map<std::string, size_t> first_of;
@@ -242,28 +244,23 @@ TEST(Exec, PoolAnswersLikeOneEngineInSubmissionOrder)
     for (size_t i = 0; i < all.size(); i++)
         first[i] = first_of
                        .try_emplace(makeQueryKeyBytes(fp, cfg, all[i].seq,
-                                                      all[i].assumes,
-                                                      all[i].fixedFrame),
+                                                      all[i].assumes, -1),
                                     i)
                        .first->second;
 
-    auto run = [](Engine &e, const Query &q) {
-        return q.fixedFrame >= 0
-                   ? e.coverAt(q.seq, q.assumes,
-                               static_cast<unsigned>(q.fixedFrame))
-                   : e.cover(q.seq, q.assumes);
-    };
     Engine eng(fd.d, cfg);
     std::vector<CoverResult> direct(all.size());
     size_t solved = 0, undetermined = 0, history_sensitive = 0;
     for (size_t i = 0; i < all.size(); i++) {
         if (first[i] != i)
             continue;
-        direct[i] = run(eng, all[i]);
+        direct[i] = eng.cover(all[i].seq, all[i].assumes);
         solved++;
         undetermined += direct[i].outcome == Outcome::Undetermined;
         Engine cold(fd.d, cfg);
-        history_sensitive += run(cold, all[i]).outcome != direct[i].outcome;
+        history_sensitive +=
+            cold.cover(all[i].seq, all[i].assumes).outcome !=
+            direct[i].outcome;
     }
     // The budget binds, and a query's verdict on a cold engine differs
     // from its verdict after the queries before it.
@@ -273,15 +270,8 @@ TEST(Exec, PoolAnswersLikeOneEngineInSubmissionOrder)
 
     EnginePool pool(fd.d, cfg);
     std::vector<CoverResult> got;
-    for (const auto &c : calls) {
-        if (c.size() == 1) {
-            got.push_back(pool.eval(c.front()));
-        } else {
-            std::vector<CoverResult> rs = pool.evalBatch(c);
-            got.insert(got.end(), rs.begin(), rs.end());
-        }
-    }
-    ASSERT_EQ(got.size(), all.size());
+    for (const Cover &c : all)
+        got.push_back(pool.eval(c.seq, c.assumes));
     for (size_t i = 0; i < all.size(); i++) {
         SCOPED_TRACE("query " + std::to_string(i));
         expectSameResult(direct[first[i]], got[i], fd.prod);
@@ -315,10 +305,10 @@ TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)
     // and the memoized verdict replays as a cache hit (the budget is part
     // of the cache key, so it cannot leak into differently-budgeted runs).
     EnginePool pool(fd.d, cfg);
-    Query q{pEq(fd.prod, FactorDesign::kSemiprime), {}, -1};
-    CoverResult pooled = pool.eval(q);
+    ExprRef seq = pEq(fd.prod, FactorDesign::kSemiprime);
+    CoverResult pooled = pool.eval(seq, {});
     EXPECT_EQ(pooled.outcome, Outcome::Undetermined);
-    CoverResult cached = pool.eval(q);
+    CoverResult cached = pool.eval(seq, {});
     EXPECT_EQ(cached.outcome, Outcome::Undetermined);
     PoolStats s = pool.stats();
     EXPECT_EQ(s.engine.queries, 1u);
@@ -329,7 +319,7 @@ TEST(Exec, BudgetExhaustionYieldsUndeterminedEndToEnd)
     EngineConfig roomy = cfg;
     roomy.budget.maxConflicts = 2'000'000;
     EnginePool pool2(fd.d, roomy);
-    CoverResult solved = pool2.eval(q);
+    CoverResult solved = pool2.eval(seq, {});
     EXPECT_EQ(solved.outcome, Outcome::Reachable);
 }
 

@@ -286,7 +286,7 @@ struct CounterDesign
 TEST_F(ObsTest, PoolCacheCountersExactUnderConcurrentLoad)
 {
     // QueryCache hit/miss counters live in the registry; they must stay
-    // exact when a pool evaluates a batch full of duplicates. 16
+    // exact when a pool evaluates a query stream full of duplicates. 16
     // distinct queries, each submitted 4 times: the first submission of
     // each misses and solves (16 misses, 16 entries), and the 48 later
     // ones are served from the published entries (48 hits) — exactly,
@@ -295,15 +295,10 @@ TEST_F(ObsTest, PoolCacheCountersExactUnderConcurrentLoad)
     bmc::EngineConfig ecfg;
     ecfg.bound = 18;
     exec::EnginePool pool(cd.d, ecfg);
-    std::vector<exec::Query> qs;
     for (unsigned rep = 0; rep < 4; rep++)
         for (unsigned v = 0; v < 16; v++)
-            qs.push_back(exec::Query{
-                prop::pEq(cd.cnt, v), {}, -1});
-    auto rs = pool.evalBatch(qs);
-    ASSERT_EQ(rs.size(), qs.size());
-    for (const auto &r : rs)
-        EXPECT_EQ(r.outcome, bmc::Outcome::Reachable);
+            EXPECT_EQ(pool.eval(prop::pEq(cd.cnt, v), {}).outcome,
+                      bmc::Outcome::Reachable);
     exec::CacheStats cs = pool.stats().cache;
     EXPECT_EQ(cs.misses, 16u);
     EXPECT_EQ(cs.hits, 48u);
@@ -312,7 +307,7 @@ TEST_F(ObsTest, PoolCacheCountersExactUnderConcurrentLoad)
     // A second pool (its own cache instance) tallies independently: the
     // first pool's numbers must not move.
     exec::EnginePool pool2(cd.d, ecfg);
-    auto r2 = pool2.eval(exec::Query{prop::pEq(cd.cnt, 3), {}, -1});
+    auto r2 = pool2.eval(prop::pEq(cd.cnt, 3), {});
     EXPECT_EQ(r2.outcome, bmc::Outcome::Reachable);
     EXPECT_EQ(pool2.stats().cache.misses, 1u);
     EXPECT_EQ(pool2.stats().cache.hits, 0u);
@@ -323,20 +318,23 @@ TEST_F(ObsTest, PoolCacheCountersExactUnderConcurrentLoad)
 TEST_F(ObsTest, PoolInstrumentationDoesNotChangeVerdicts)
 {
     // Determinism contract: enabling observability must not perturb
-    // outcomes. Same batch, obs off vs on.
+    // outcomes. Same queries, obs off vs on.
     CounterDesign cd;
     bmc::EngineConfig ecfg;
     ecfg.bound = 18;
-    std::vector<exec::Query> qs;
-    for (unsigned v = 0; v < 16; v++)
-        qs.push_back(exec::Query{prop::pEq(cd.cnt, v), {}, -1});
+    auto evalAll = [&](exec::EnginePool &pool) {
+        std::vector<bmc::CoverResult> rs;
+        for (unsigned v = 0; v < 16; v++)
+            rs.push_back(pool.eval(prop::pEq(cd.cnt, v), {}));
+        return rs;
+    };
 
     exec::EnginePool off(cd.d, ecfg);
-    auto r_off = off.evalBatch(qs);
+    auto r_off = evalAll(off);
 
     setEnabled(true);
     exec::EnginePool on(cd.d, ecfg);
-    auto r_on = on.evalBatch(qs);
+    auto r_on = evalAll(on);
     setEnabled(false);
 
     ASSERT_EQ(r_off.size(), r_on.size());

@@ -7,9 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <mutex>
 #include <set>
 
 #include "designs/tiny3.hh"
+#include "obs/progress.hh"
 #include "rtl2mupath/synth.hh"
 
 using namespace rmp;
@@ -168,6 +171,50 @@ TEST_F(R2mTiny3, StatsAreTallied)
     for (const auto &st : synth.stepStats())
         total += st.queries;
     EXPECT_GT(total, 10u);
+}
+
+TEST_F(R2mTiny3, ProgressReportsEveryCoverStep)
+{
+    // Every step that issues covers reports its progress, and its last
+    // update counts every cover of the step: the all-SAT enumeration and
+    // the closure covers of steps 4-7 included. The configuration is
+    // that of `rmp prove tiny3`.
+    struct Recorder : obs::ProgressSink
+    {
+        std::mutex mu;
+        std::map<std::string, uint64_t> lastDone;
+        void
+        update(const obs::Progress &p) override
+        {
+            std::lock_guard<std::mutex> lock(mu);
+            lastDone[p.phase] = p.done;
+        }
+    } rec;
+    SynthesisConfig cfg;
+    cfg.budget.maxConflicts = 20'000;
+    cfg.closureChecks = true;
+    MuPathSynthesizer prove(hx, cfg);
+    std::vector<InstrId> all;
+    for (size_t i = 0; i < hx.duv().instrs.size(); i++)
+        all.push_back(static_cast<InstrId>(i));
+    {
+        obs::ScopedProgressSink scoped(&rec);
+        prove.synthesizeAll(all);
+    }
+    size_t steps = 0;
+    for (const StepStats &st : prove.stepStats()) {
+        if (st.queries == 0)
+            continue;
+        steps++;
+        SCOPED_TRACE(st.step);
+        auto it = rec.lastDone.find(st.step);
+        if (it == rec.lastDone.end())
+            ADD_FAILURE() << "no progress reported";
+        else
+            EXPECT_EQ(it->second, st.queries);
+    }
+    // Exploration, steps 1 and 2, and the all-SAT and closure steps.
+    EXPECT_GE(steps, 7u);
 }
 
 TEST(R2mTiny3Counts, MulRevisitCountsBaselineVsZeroSkip)

@@ -593,25 +593,23 @@ TEST(VerdictStoreIntegration, WitnessTraceSameFromSolverCacheAndStore)
     designs::Harness hx(*designs::buildDuv("tiny3"));
     const bmc::EngineConfig ec =
         r2m::MuPathSynthesizer(hx).pool().engineConfig();
-    const exec::Query q{prop::pBit(hx.plSig(0).occupied), hx.baseAssumes(),
-                        -1};
+    const prop::ExprRef seq = prop::pBit(hx.plSig(0).occupied);
+    const std::vector<prop::ExprRef> assumes = hx.baseAssumes();
 
     bmc::CoverResult solved, memHit, storeHit;
     {
         VerdictStore st(root);
         ASSERT_TRUE(st.enabled());
-        exec::EnginePool a(hx.design(), ec,
-                           exec::ExecConfig{.store = &st});
-        solved = a.eval(q); // miss: solved, then written through
-        memHit = a.eval(q);
+        exec::EnginePool a(hx.design(), ec, &st);
+        solved = a.eval(seq, assumes); // miss: solved, then written through
+        memHit = a.eval(seq, assumes);
         EXPECT_EQ(a.stats().cache.hits, 1u);
         EXPECT_EQ(a.stats().engine.queries, 1u);
     }
     {
         VerdictStore st(root);
-        exec::EnginePool b(hx.design(), ec,
-                           exec::ExecConfig{.store = &st});
-        storeHit = b.eval(q);
+        exec::EnginePool b(hx.design(), ec, &st);
+        storeHit = b.eval(seq, assumes);
         EXPECT_EQ(b.stats().store.hits, 1u);
         EXPECT_EQ(b.stats().engine.queries, 0u);
     }

@@ -586,8 +586,7 @@ cmdContracts(const std::string &duv, const CliOptions &o)
     slc::SynthLc slc(hx, lc);
     ct::AnalysisDb db;
     db.hx = &hx;
-    // Cross-IUV parallel synthesis: simulation exploration and the
-    // independent covers of every instruction go through the pool first.
+    // One synthesizer for every instruction, so step 1 runs once.
     auto all = synth.synthesizeAll(ids);
     for (uhb::InstrId i : ids) {
         std::fprintf(stderr, "analyzing %s...\n",
