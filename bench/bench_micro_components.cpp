@@ -74,11 +74,8 @@ void
 BM_IftInstrument(benchmark::State &state)
 {
     const Harness &hx = mcvaHarness();
-    const auto &info = hx.duv();
-    ift::IftConfig cfg;
-    cfg.taintSources = {info.rs1Reg, info.rs2Reg};
-    cfg.blockRegs = info.arfRegs;
-    cfg.txmGone = hx.txmGone;
+    // The instrumentation SynthLC runs (ARF, AMEM and persistent regs).
+    const ift::IftConfig cfg = *hx.iftConfig();
     for (auto _ : state) {
         auto inst = ift::instrument(hx.design(), cfg);
         benchmark::DoNotOptimize(inst.design->numCells());

@@ -3,6 +3,7 @@
 #include <fcntl.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
@@ -64,8 +65,14 @@ cacheDir(const std::string &subdir)
 bool
 atomicWriteFile(const std::string &path, const std::string &bytes)
 {
+    // Unique per call, not only per process: two threads of one process
+    // may publish the same path at once (daemon workers share query
+    // keys), and a shared tmp name would let one truncate or rename away
+    // the other's half-written file.
+    static std::atomic<uint64_t> next{0};
     const std::string tmp =
-        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid())) +
+        "." + std::to_string(next.fetch_add(1, std::memory_order_relaxed));
     int fd = ::open(tmp.c_str(), O_WRONLY | O_CREAT | O_TRUNC, 0644);
     if (fd < 0)
         return false;

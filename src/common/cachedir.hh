@@ -8,8 +8,8 @@
  *  - one resolution rule for the cache root: $RMP_CACHE_DIR, else
  *    $HOME/.cache/rmp, else /tmp/rmp-cache — created on first use;
  *  - atomic publication: artifacts are written to a tmp name unique to
- *    the writing process and rename(2)d into place, so a reader never
- *    observes a half-written file and two processes racing on one key
+ *    the writing call and rename(2)d into place, so a reader never
+ *    observes a half-written file and two writers racing on one key
  *    both end with a valid file (last rename wins);
  *  - FNV-1a content hashing, the fingerprint family every cache key in
  *    the repo uses.
@@ -34,10 +34,12 @@ namespace rmp
 std::string cacheDir(const std::string &subdir = "");
 
 /**
- * Atomically publish @p bytes at @p path: write to "<path>.tmp.<pid>",
- * fsync, then rename into place. Returns false (removing the tmp file)
- * on any failure. The file is durable against power loss once this
- * returns — the verdict store's fsync-on-commit.
+ * Atomically publish @p bytes at @p path: write to
+ * "<path>.tmp.<pid>.<n>" (n counts this process's calls, so no two
+ * writers, threads or processes, share a tmp file), fsync, then rename
+ * into place. Returns false (removing the tmp file) on any failure. The
+ * file is durable against power loss once this returns — the verdict
+ * store's fsync-on-commit.
  */
 bool atomicWriteFile(const std::string &path, const std::string &bytes);
 
@@ -51,8 +53,8 @@ uint64_t fnv1a64(const void *data, size_t len,
 /**
  * 128 bits of content address derived from two independently-seeded
  * FNV-1a/splitmix passes. Not cryptographic — collision *detection*
- * stays with the caller (canonical bytes stored and compared), exactly
- * as in exec::QueryCache.
+ * stays with the caller (canonical bytes stored and compared), as the
+ * verdict store does for every record.
  */
 struct Hash128
 {

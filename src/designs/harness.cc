@@ -9,6 +9,31 @@ namespace rmp::designs
 
 using namespace uhb;
 
+std::optional<ift::IftConfig>
+Harness::iftConfig() const
+{
+    if (info.rs1Reg == kNoSig || info.rs2Reg == kNoSig)
+        return std::nullopt;
+    ift::IftConfig cfg;
+    cfg.taintSources = {info.rs1Reg, info.rs2Reg};
+    cfg.blockRegs = info.arfRegs;
+    cfg.blockRegs.insert(cfg.blockRegs.end(), info.amemRegs.begin(),
+                         info.amemRegs.end());
+    cfg.persistentRegs = info.persistentRegs;
+    cfg.txmGone = txmGone;
+    return cfg;
+}
+
+std::vector<SigId>
+Harness::controlRegs() const
+{
+    std::vector<SigId> ctrl;
+    for (const uhb::MicroFsm &fsm : info.fsms)
+        for (SigId v : fsm.vars)
+            ctrl.push_back(v);
+    return ctrl;
+}
+
 Harness::Harness(DuvUnderConstruction duc) : info(std::move(duc.info))
 {
     rmp_assert(info.design == duc.design, "DuvInfo does not own the design");

@@ -28,9 +28,11 @@
 
 #include <map>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
+#include "ift/instrument.hh"
 #include "prop/property.hh"
 #include "rtlir/builder.hh"
 #include "uhb/duv.hh"
@@ -75,6 +77,19 @@ class Harness
 
     const uhb::DuvInfo &duv() const { return info; }
     const Design &design() const { return *info.design; }
+
+    /**
+     * The IFT instrumentation SynthLC analyzes and the IFT lint checks:
+     * taint enters at the operand registers, the ARF and AMEM words
+     * block it, the persistent registers keep it across the sticky
+     * flush, which the transmitter's departure triggers. Empty when the
+     * DUV declares no operand registers.
+     */
+    std::optional<ift::IftConfig> iftConfig() const;
+
+    /** The μFSM state variables: the control registers every absint
+     *  consumer (lint, analyze) sharpens with fsmReachability. */
+    std::vector<SigId> controlRegs() const;
 
     /** @name PL universe (§V-B1 candidates, before reachability pruning) */
     /// @{

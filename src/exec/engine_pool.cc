@@ -13,12 +13,11 @@ EnginePool::EnginePool(const Design &design,
                        store::VerdictStore *store)
     : d(design), engCfg(engine_cfg), designFp(designFingerprint(design))
 {
-    // Persistent store: read-through via the cache, proof capture on the
-    // engine so Unreachable verdicts come with storable evidence.
+    // Persistent store: eval() reads and writes through it; proof
+    // capture on the engine gives Unreachable verdicts storable evidence.
     if (store && store->enabled()) {
         store_ = store;
         engCfg.captureProof = true;
-        cache_.attachStore(store_);
     }
     // Warm the design's lazy topo-order cache before the owner fans
     // simulation out over it (exploration, SynthLC's taint batches):
@@ -34,11 +33,23 @@ EnginePool::eval(const prop::ExprRef &seq,
 {
     // Frame -1 (any frame): the key keeps its fixed-frame slot so
     // stores written by earlier builds keep hitting.
-    QueryKey key = makeQueryKey(designFp, engCfg, seq, assumes, -1);
     std::string bytes = makeQueryKeyBytes(designFp, engCfg, seq, assumes, -1);
-    CachedResult hit;
-    if (cache_.get(key, bytes, &hit))
+    store::VerdictRecord hit;
+    if (cache_.get(bytes, &hit))
         return expandResult(hit, d);
+    // Read-through: a memory miss falls through to the persistent store,
+    // whose files the 128-bit digest names; a store hit (bytes-verified
+    // there, outcome range-checked here) is promoted so later repeats
+    // stay in memory.
+    QueryKey key;
+    if (store_) {
+        key = makeQueryKey(designFp, engCfg, seq, assumes, -1);
+        if (store_->get(key.lo, key.hi, bytes, &hit) && hit.outcome <= 2) {
+            bmc::CoverResult r = expandResult(hit, d);
+            cache_.put(std::move(bytes), std::move(hit));
+            return r;
+        }
+    }
     // Cooperative interruption: once SIGINT/SIGTERM is flagged, skip
     // every query not yet started. The Undetermined result is returned
     // but never published — an interruption artifact in the in-memory
@@ -71,18 +82,17 @@ EnginePool::eval(const prop::ExprRef &seq,
                     r.audit.detail.c_str()));
         return r;
     }
-    cache_.put(key, bytes, r);
+    store::VerdictRecord rec = toStoreRecord(r);
     if (store_) {
-        store::VerdictRecord rec = toStoreRecord(r);
         if (rec.hasProof) {
             // The blob address is unknown until the engine's proof
             // context is serialized; defer the record until flushStore().
-            pendingProofs_.push_back(
-                PendingProof{key, std::move(bytes), std::move(rec)});
+            pendingProofs_.push_back(PendingProof{key, bytes, rec});
         } else {
             store_->put(key.lo, key.hi, bytes, rec);
         }
     }
+    cache_.put(std::move(bytes), std::move(rec));
     return r;
 }
 

@@ -66,12 +66,12 @@ class EnginePool
     /**
      * @p store is the persistent verdict store (not owned; nullptr =
      * none). When set (and enabled), the pool turns on bmc proof
-     * capture, attaches the store to the query cache for read-through,
-     * write-throughs Reachable/Undetermined verdicts as they complete,
+     * capture, reads through the store on every query-cache miss,
+     * writes Reachable/Undetermined verdicts through as they complete,
      * and defers Unreachable-with-proof records until flushStore()
      * serializes the engine's proof context they reference. Verdicts are
      * store-invariant: a store hit replays the identical compressed
-     * result a memory hit would.
+     * record a memory hit would.
      */
     EnginePool(const Design &design, const bmc::EngineConfig &engine_cfg,
                store::VerdictStore *store = nullptr);
@@ -84,6 +84,9 @@ class EnginePool
      * Evaluate one any-frame cover of @p seq under @p assumes: a cache
      * or store hit, else a solve on the pool's engine, on the calling
      * thread. A repeated query is a cache hit of its first occurrence.
+     * The one place that consults the store: memory first, then the
+     * store, then the solver; a solved verdict goes into memory and
+     * through to the store.
      */
     bmc::CoverResult eval(const prop::ExprRef &seq,
                           const std::vector<prop::ExprRef> &assumes);

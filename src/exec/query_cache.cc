@@ -121,38 +121,6 @@ designFingerprint(const Design &d)
     return h;
 }
 
-CachedResult
-compressResult(const bmc::CoverResult &r)
-{
-    CachedResult c;
-    c.outcome = r.outcome;
-    if (r.outcome == bmc::Outcome::Reachable) {
-        c.inputs = r.witness.inputs;
-        c.matchFrame = r.witness.matchFrame;
-        c.hasTrace = r.witness.trace.numCycles() > 0;
-    }
-    return c;
-}
-
-bmc::CoverResult
-expandResult(const CachedResult &c, const Design &d)
-{
-    bmc::CoverResult r;
-    r.outcome = c.outcome;
-    r.seconds = 0.0; // a hit costs (essentially) nothing
-    if (c.outcome == bmc::Outcome::Reachable) {
-        r.witness.inputs = c.inputs;
-        r.witness.matchFrame = c.matchFrame;
-        if (c.hasTrace) {
-            Simulator sim(d);
-            for (const auto &in : c.inputs)
-                sim.step(in);
-            r.witness.trace = sim.trace();
-        }
-    }
-    return r;
-}
-
 store::VerdictRecord
 toStoreRecord(const bmc::CoverResult &r)
 {
@@ -183,22 +151,30 @@ toStoreRecord(const bmc::CoverResult &r)
     return rec;
 }
 
-CachedResult
-fromStoreRecord(const store::VerdictRecord &rec)
+bmc::CoverResult
+expandResult(const store::VerdictRecord &rec, const Design &d)
 {
-    CachedResult c;
-    c.outcome = static_cast<bmc::Outcome>(rec.outcome);
-    c.matchFrame = rec.matchFrame;
-    c.hasTrace = rec.hasTrace;
-    c.inputs.reserve(rec.inputs.size());
-    for (const auto &cycle : rec.inputs) {
-        InputMap m;
-        m.reserve(cycle.size());
-        for (const auto &[sig, val] : cycle)
-            m.emplace(sig, val);
-        c.inputs.push_back(std::move(m));
+    bmc::CoverResult r;
+    r.outcome = static_cast<bmc::Outcome>(rec.outcome);
+    r.seconds = 0.0; // a hit costs (essentially) nothing
+    if (r.outcome == bmc::Outcome::Reachable) {
+        r.witness.matchFrame = rec.matchFrame;
+        r.witness.inputs.reserve(rec.inputs.size());
+        for (const auto &cycle : rec.inputs) {
+            InputMap m;
+            m.reserve(cycle.size());
+            for (const auto &[sig, val] : cycle)
+                m.emplace(sig, val);
+            r.witness.inputs.push_back(std::move(m));
+        }
+        if (rec.hasTrace) {
+            Simulator sim(d);
+            for (const auto &in : r.witness.inputs)
+                sim.step(in);
+            r.witness.trace = sim.trace();
+        }
     }
-    return c;
+    return r;
 }
 
 QueryCache::QueryCache()
@@ -215,84 +191,36 @@ QueryCache::QueryCache()
 QueryCache::QueryCache(const obs::Labels &labels)
     : hits_(obs::Registry::global().counter("exec.cache.hits", labels)),
       misses_(obs::Registry::global().counter("exec.cache.misses", labels)),
-      entries_(obs::Registry::global().counter("exec.cache.entries", labels)),
-      collisions_(
-          obs::Registry::global().counter("exec.cache.collisions", labels))
+      entries_(obs::Registry::global().counter("exec.cache.entries", labels))
 {
 }
 
 bool
-QueryCache::get(const QueryKey &key, const std::string &keyBytes,
-                CachedResult *out)
+QueryCache::get(const std::string &keyBytes, store::VerdictRecord *out)
 {
     bool hit = false;
-    bool collided = false;
     {
         std::lock_guard<std::mutex> lock(mu);
-        auto it = map.find(key);
+        auto it = map.find(keyBytes);
         if (it != map.end()) {
-            for (const Entry &e : it->second) {
-                if (e.keyBytes == keyBytes) {
-                    *out = e.res;
-                    hit = true;
-                    break;
-                }
-            }
-            // Digest matched but no entry's bytes did: a genuine 128-bit
-            // collision, served as a miss instead of a wrong verdict.
-            collided = !hit;
+            *out = it->second;
+            hit = true;
         }
     }
     (hit ? hits_ : misses_).add(1);
-    if (collided)
-        collisions_.add(1);
-    // Read-through: a memory miss falls through to the persistent store;
-    // a store hit (bytes-verified there too, outcome range-checked here)
-    // is promoted so subsequent repeats stay in memory.
-    if (!hit && store_) {
-        store::VerdictRecord rec;
-        if (store_->get(key.lo, key.hi, keyBytes, &rec) &&
-            rec.outcome <= 2) {
-            *out = fromStoreRecord(rec);
-            insert(key, keyBytes, *out);
-            return true;
-        }
-    }
     return hit;
 }
 
 void
-QueryCache::put(const QueryKey &key, const std::string &keyBytes,
-                const bmc::CoverResult &result)
+QueryCache::put(std::string keyBytes, store::VerdictRecord rec)
 {
-    insert(key, keyBytes, compressResult(result));
-}
-
-void
-QueryCache::insert(const QueryKey &key, const std::string &keyBytes,
-                   CachedResult res)
-{
-    bool inserted = false;
-    bool collided = false;
+    bool inserted;
     {
         std::lock_guard<std::mutex> lock(mu);
-        std::vector<Entry> &bucket = map[key];
-        bool present = false;
-        for (const Entry &e : bucket)
-            if (e.keyBytes == keyBytes) {
-                present = true;
-                break;
-            }
-        if (!present) {
-            collided = !bucket.empty();
-            bucket.push_back(Entry{keyBytes, std::move(res)});
-            inserted = true;
-        }
+        inserted = map.try_emplace(std::move(keyBytes), std::move(rec)).second;
     }
     if (inserted)
         entries_.add(1);
-    if (collided)
-        collisions_.add(1);
 }
 
 CacheStats
@@ -302,7 +230,6 @@ QueryCache::stats() const
     s.hits = hits_.value();
     s.misses = misses_.value();
     s.entries = entries_.value();
-    s.collisions = collisions_.value();
     return s;
 }
 

@@ -5,25 +5,27 @@
  * RTL2MμPATH and SynthLC instantiate the same property templates over and
  * over — across pipeline steps, across IUVs, and across candidate sets —
  * so the same (design, bound, budget, sequence, assumes, fixed-frame)
- * query recurs many times per run. The QueryCache memoizes the full
- * CoverResult (verdict + replay-validated witness) under a canonical
- * 128-bit key covering the complete semantic input of a query, so a
- * repeat is answered without touching a solver.
+ * query recurs many times per run. The QueryCache memoizes each verdict
+ * (outcome + replayable witness) under the query's canonical key bytes,
+ * which cover the complete semantic input of a query, so a repeat is
+ * answered without touching a solver.
  *
- * Soundness: the key includes every input that can influence the verdict —
+ * Soundness: the key covers every input that can influence the verdict —
  * the design fingerprint, the unrolling bound, the per-query SAT budget
- * (budgets decide Undetermined outcomes), the structural hash of the
- * cover sequence DAG, the multiset of assume hashes (conjunction is
- * order-insensitive, so the per-assume hashes are sorted before mixing),
- * and the fixed start frame. A cached Reachable witness was
- * simulator-replayed when first computed and stays valid because the
- * design is immutable.
+ * (budgets decide Undetermined outcomes), the structure of the cover
+ * sequence DAG, the multiset of assumes (conjunction is order-
+ * insensitive, so the assume serializations are sorted), and the fixed
+ * start frame. A cached Reachable witness was simulator-replayed when
+ * first computed and stays valid because the design is immutable. The
+ * 128-bit digest of the same inputs (makeQueryKey) only names the
+ * persistent store's files (store::VerdictStore).
  */
 
 #ifndef EXEC_QUERY_CACHE_HH
 #define EXEC_QUERY_CACHE_HH
 
 #include <mutex>
+#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -35,7 +37,8 @@
 namespace rmp::exec
 {
 
-/** Canonical 128-bit key of one cover query. */
+/** Canonical 128-bit digest of one cover query: the name of its
+ *  verdict-store record. */
 struct QueryKey
 {
     uint64_t lo = 0;
@@ -48,13 +51,8 @@ struct QueryKey
     }
 };
 
-struct QueryKeyHash
-{
-    size_t operator()(const QueryKey &k) const { return k.lo; }
-};
-
 /**
- * Build the canonical key for one query.
+ * Build the canonical digest for one query.
  *
  * @p design_fp is the structural fingerprint of the design the engine
  * unrolls (designFingerprint()); @p fixed_frame is -1 for any-frame
@@ -68,14 +66,14 @@ QueryKey makeQueryKey(uint64_t design_fp, const bmc::EngineConfig &cfg,
 
 /**
  * Canonical byte serialization of the same semantic inputs makeQueryKey
- * digests. The 128-bit QueryKey is itself a hash, so two distinct
- * queries CAN collide on it — astronomically unlikely, but a silent
- * collision would alias one query's verdict to another, the worst
- * possible cache failure. The cache therefore stores these bytes
- * alongside each entry and compares them on lookup: a digest collision
- * degrades to a counted miss (`exec.cache.collisions`) instead of a
- * wrong verdict. Assume serializations are sorted before joining,
- * mirroring the key's order-insensitive conjunction hashing.
+ * digests. prop::serializeExpr is injective on structure, so equal bytes
+ * mean an equal query: the in-memory cache is keyed by these bytes. The
+ * 128-bit QueryKey is itself a hash, so two distinct queries CAN collide
+ * on it; the store therefore keeps these bytes inside each record and
+ * compares them on load, so a digest collision degrades to a counted
+ * miss (`store.collisions`) instead of a wrong verdict. Assume
+ * serializations are sorted before joining, mirroring the key's
+ * order-insensitive conjunction hashing.
  */
 std::string makeQueryKeyBytes(uint64_t design_fp,
                               const bmc::EngineConfig &cfg,
@@ -98,109 +96,60 @@ struct CacheStats
     uint64_t hits = 0;
     uint64_t misses = 0;
     uint64_t entries = 0;
-    /** Digest collisions caught by the canonical-bytes comparison. */
-    uint64_t collisions = 0;
 };
 
 /**
- * A CoverResult in its stored form: a Reachable witness keeps only its
- * replayable per-cycle inputs, not the full all-signals trace (a trace is
- * cells x bound x 8 bytes — megabytes on the core DUV — while the inputs
- * are a few KB). expandResult() re-derives the identical trace by
- * deterministic simulator replay, which is exactly how the engine
- * produced the original trace during witness validation
- * (VerdictStoreIntegration.WitnessTraceSameFromSolverCacheAndStore).
- */
-struct CachedResult
-{
-    bmc::Outcome outcome = bmc::Outcome::Undetermined;
-    std::vector<InputMap> inputs;
-    unsigned matchFrame = 0;
-    bool hasTrace = false;
-};
-
-/** Compress a CoverResult for storage. */
-CachedResult compressResult(const bmc::CoverResult &r);
-
-/** Reconstruct the full CoverResult (replaying the witness on @p d). */
-bmc::CoverResult expandResult(const CachedResult &c, const Design &d);
-
-/**
- * Convert a completed CoverResult into its persistent form: witness
- * cycles canonicalized by sorting on signal id (InputMap iteration order
- * is not deterministic), proof prefix counts and assumptions copied from
- * CoverResult::proof. The proof *blob address* is left unset — the
+ * Compress a completed CoverResult into its memoized form, in memory and
+ * on disk alike: a Reachable witness keeps only its replayable per-cycle
+ * inputs, canonicalized by sorting on signal id (InputMap iteration
+ * order is not deterministic), not the full all-signals trace (a trace
+ * is cells x bound x 8 bytes — megabytes on the core DUV — while the
+ * inputs are a few KB). Proof prefix counts and assumptions are copied
+ * from CoverResult::proof. The proof *blob address* is left unset — the
  * EnginePool fills it when it flushes its engine's proof context
  * (EnginePool::flushStore).
  */
 store::VerdictRecord toStoreRecord(const bmc::CoverResult &r);
 
-/** Rebuild the in-memory cached form from a stored record. */
-CachedResult fromStoreRecord(const store::VerdictRecord &rec);
+/**
+ * Reconstruct the full CoverResult, re-deriving a Reachable witness's
+ * trace by deterministic simulator replay on @p d — exactly how the
+ * engine produced the original trace during witness validation
+ * (VerdictStoreIntegration.WitnessTraceSameFromSolverCacheAndStore).
+ */
+bmc::CoverResult expandResult(const store::VerdictRecord &rec,
+                              const Design &d);
 
 /**
- * Thread-safe memoization table: QueryKey -> CachedResult, with the
- * query's canonical bytes (makeQueryKeyBytes) stored per entry and
- * compared on every lookup, so a 128-bit digest collision is detected
- * (and counted) rather than silently aliasing one query's verdict to
- * another. Colliding queries coexist in one digest bucket.
- *
- * get()/put() are individually locked, so the cache is safe to share;
- * the EnginePool makes every get() and put() on its orchestrating
- * thread, in submission order. The hit/miss/entry/collision counters
- * are lock-free obs::Counter handles owned by the global metrics
- * registry (labeled per cache instance), updated outside the map
- * mutex.
+ * Thread-safe memoization table: canonical key bytes
+ * (makeQueryKeyBytes) -> verdict record. get()/put() are individually
+ * locked, so the cache is safe to share; the EnginePool makes every
+ * get() and put() on its orchestrating thread, in submission order. The
+ * hit/miss/entry counters are lock-free obs::Counter handles owned by
+ * the global metrics registry (labeled per cache instance), updated
+ * outside the map mutex.
  */
 class QueryCache
 {
   public:
     QueryCache();
 
-    /**
-     * Look up @p key; returns true and fills @p out on a hit. A hit
-     * additionally requires @p keyBytes to match the stored entry's
-     * canonical bytes.
-     */
-    bool get(const QueryKey &key, const std::string &keyBytes,
-             CachedResult *out);
+    /** Look up @p keyBytes; returns true and fills @p out on a hit. */
+    bool get(const std::string &keyBytes, store::VerdictRecord *out);
 
-    /** Publish the result of a completed query. */
-    void put(const QueryKey &key, const std::string &keyBytes,
-             const bmc::CoverResult &result);
-
-    /**
-     * Attach a persistent verdict store (nullptr to detach): get()
-     * misses fall through to a store lookup, and a store hit is promoted
-     * into the in-memory map so later repeats never touch disk. Write-
-     * through is the EnginePool's job (it owns the proof contexts the
-     * records reference). The cache never owns the store.
-     */
-    void attachStore(store::VerdictStore *s) { store_ = s; }
+    /** Memoize @p rec under @p keyBytes; an existing entry stays. */
+    void put(std::string keyBytes, store::VerdictRecord rec);
 
     CacheStats stats() const;
 
   private:
     explicit QueryCache(const obs::Labels &labels);
 
-    /** Entries sharing one 128-bit digest (almost always exactly one). */
-    struct Entry
-    {
-        std::string keyBytes;
-        CachedResult res;
-    };
-
-    /** Insert an already-compressed result (store promotion path). */
-    void insert(const QueryKey &key, const std::string &keyBytes,
-                CachedResult res);
-
     mutable std::mutex mu;
-    std::unordered_map<QueryKey, std::vector<Entry>, QueryKeyHash> map;
-    store::VerdictStore *store_ = nullptr;
+    std::unordered_map<std::string, store::VerdictRecord> map;
     obs::Counter &hits_;
     obs::Counter &misses_;
     obs::Counter &entries_;
-    obs::Counter &collisions_;
 };
 
 } // namespace rmp::exec

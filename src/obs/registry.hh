@@ -72,7 +72,8 @@ class Histogram
     record(uint64_t v)
     {
         unsigned b = 0;
-        while ((1ULL << (b + 1)) <= v && b + 1 < kBuckets)
+        // Bound first: 1ULL << 64 is undefined for v >= 2^63.
+        while (b + 1 < kBuckets && (1ULL << (b + 1)) <= v)
             b++;
         buckets_[b].fetch_add(1, std::memory_order_relaxed);
         count_.fetch_add(1, std::memory_order_relaxed);

@@ -75,11 +75,11 @@ ExprRef pDelay(ExprRef a, unsigned delay, ExprRef b);
  * Two structurally identical expressions hash equal regardless of how
  * their nodes are shared; shared subtrees are visited once (memoized on
  * node identity). Combining two calls with independent seeds yields a
- * 128-bit digest, which exec::QueryCache uses to key memoized cover
- * results — the hash covers every field that affects compile()/
- * evalOnTrace() semantics (kind, signal, constant, bit index, delay,
- * children), so equal digests mean semantically identical properties
- * over the same design.
+ * 128-bit digest (exec::makeQueryKey), which names a memoized cover
+ * result's file in the persistent verdict store — the hash covers every
+ * field that affects compile()/evalOnTrace() semantics (kind, signal,
+ * constant, bit index, delay, children), so equal digests almost always
+ * mean semantically identical properties over the same design.
  */
 uint64_t exprHash(const ExprRef &e, uint64_t seed = 0);
 
@@ -89,7 +89,8 @@ uint64_t exprHash(const ExprRef &e, uint64_t seed = 0);
  * *tree* so the bytes depend only on expression structure, never on how
  * DAG nodes happen to be shared. Two expressions serialize identically
  * iff they are structurally identical — unlike exprHash, with no
- * collision probability — which is what exec::QueryCache stores to make
+ * collision probability — so exec::QueryCache keys memoized verdicts by
+ * these bytes, and the verdict store keeps them in every record to make
  * digest collisions observable instead of silently aliasing verdicts.
  * Shared subtrees serialize once (memoized) but are spliced per
  * occurrence, so output size follows the expanded tree.

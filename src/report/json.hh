@@ -192,7 +192,6 @@ poolStatsJson(const exec::PoolStats &s)
     j.put("cache_hits", s.cache.hits);
     j.put("cache_misses", s.cache.misses);
     j.put("cache_entries", s.cache.entries);
-    j.put("cache_collisions", s.cache.collisions);
     j.put("audit_replayed", s.engine.auditReplayed);
     j.put("audit_proof_checked", s.engine.auditProofChecked);
     j.put("audit_mismatches", s.engine.auditMismatches);

@@ -93,32 +93,14 @@ setNonBlocking(int fd)
     return flags >= 0 && fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
 }
 
-/** The μFSM state registers (same set the CLI's lint/analyze use). */
-std::vector<SigId>
-controlRegsOf(const designs::Harness &hx)
-{
-    std::vector<SigId> ctrl;
-    for (const uhb::MicroFsm &fsm : hx.duv().fsms)
-        for (SigId v : fsm.vars)
-            ctrl.push_back(v);
-    return ctrl;
-}
-
 /** Append the IFT soundness lint when the DUV declares operand regs. */
 void
 appendIftLint(const designs::Harness &hx, analysis::LintReport *rep)
 {
-    const uhb::DuvInfo &info = hx.duv();
-    if (info.rs1Reg == kNoSig || info.rs2Reg == kNoSig)
+    std::optional<ift::IftConfig> icfg = hx.iftConfig();
+    if (!icfg)
         return;
-    ift::IftConfig icfg;
-    icfg.taintSources = {info.rs1Reg, info.rs2Reg};
-    icfg.blockRegs = info.arfRegs;
-    icfg.blockRegs.insert(icfg.blockRegs.end(), info.amemRegs.begin(),
-                          info.amemRegs.end());
-    icfg.persistentRegs = info.persistentRegs;
-    icfg.txmGone = hx.txmGone;
-    ift::Instrumented inst = ift::instrument(hx.design(), icfg);
+    ift::Instrumented inst = ift::instrument(hx.design(), *icfg);
     analysis::LintReport irep = analysis::lintIft(hx.design(), inst);
     rep->diags.insert(rep->diags.end(), irep.diags.begin(),
                       irep.diags.end());
@@ -627,11 +609,6 @@ Server::joinWorkersAndFlush()
     for (auto &wp : workers_)
         wp->warm.clear();
     warmCount_.store(0, std::memory_order_relaxed);
-    // The store's background flusher publishes the last writes before
-    // anyone (kill-mid-batch regression: `rmp store verify`) reads the
-    // directory.
-    if (store_)
-        store_->flush();
 }
 
 void
@@ -841,7 +818,7 @@ Server::runLint(const Job &job)
     }
     designs::Harness hx(std::move(*duc));
     analysis::LintConfig lcfg;
-    lcfg.controlRegs = controlRegsOf(hx);
+    lcfg.controlRegs = hx.controlRegs();
     analysis::LintReport rep = analysis::lint(hx.design(), lcfg);
     appendIftLint(hx, &rep);
 
@@ -868,7 +845,7 @@ Server::runAnalyze(const Job &job)
     }
     designs::Harness hx(std::move(*duc));
     const Design &d = hx.design();
-    std::vector<SigId> ctrl = controlRegsOf(hx);
+    std::vector<SigId> ctrl = hx.controlRegs();
     analysis::AbsFacts facts = analysis::absInterpret(d);
     std::vector<analysis::FsmReachResult> reach =
         analysis::fsmReachability(d, ctrl, facts);

@@ -206,7 +206,7 @@ class Server
     void drainQueue(const char *why);
     /** Join every worker, then tear down each registry shard on the
      *  calling thread (pool destructors flush pending proofs — each
-     *  shard exactly once) and drain the store's flusher. Idempotent. */
+     *  shard exactly once). Idempotent. */
     void joinWorkersAndFlush();
 
     void workerMain(size_t idx);

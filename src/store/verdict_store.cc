@@ -6,6 +6,7 @@
 #include <cstring>
 #include <filesystem>
 #include <map>
+#include <memory>
 #include <numeric>
 #include <unordered_map>
 
@@ -172,6 +173,17 @@ readLits(Rd &r, std::vector<sat::Lit> *lits)
     return r.ok;
 }
 
+/** Create @p path's shard directory, then publish @p bytes there on the
+ *  calling thread (write to a tmp file, fsync, rename). Returns false
+ *  if the file could not be written. */
+bool
+publish(const std::string &path, const std::string &bytes)
+{
+    std::error_code ec;
+    fs::create_directories(fs::path(path).parent_path(), ec);
+    return atomicWriteFile(path, bytes);
+}
+
 } // anonymous namespace
 
 std::string
@@ -215,21 +227,7 @@ VerdictStore::VerdictStore(std::string root, const obs::Labels &labels)
         warn("verdict store disabled: cannot create " + root_ + ": " +
              ec.message());
         root_.clear();
-        return;
     }
-    flusher_ = std::thread([this] { flusherMain(); });
-}
-
-VerdictStore::~VerdictStore()
-{
-    if (!flusher_.joinable())
-        return;
-    {
-        std::lock_guard<std::mutex> lock(qmu_);
-        qstop_ = true;
-    }
-    qcv_.notify_all();
-    flusher_.join(); // drains the queue before exiting
 }
 
 std::string
@@ -357,62 +355,6 @@ VerdictStore::loadRecord(const std::string &path, std::string *keyBytes,
     return true;
 }
 
-void
-VerdictStore::flusherMain()
-{
-    std::unique_lock<std::mutex> lock(qmu_);
-    for (;;) {
-        qcv_.wait(lock, [this] { return qstop_ || !queue_.empty(); });
-        if (queue_.empty())
-            return; // stopping and drained
-        WriteOp op = std::move(queue_.front());
-        queue_.pop_front();
-        // The pending_ entry stays visible until the publish completes,
-        // so a concurrent get() never falls into the gap between
-        // dequeue and rename.
-        lock.unlock();
-        std::error_code ec;
-        fs::create_directories(fs::path(op.path).parent_path(), ec);
-        atomicWriteFile(op.path, *op.bytes);
-        lock.lock();
-        auto it = pending_.find(op.path);
-        if (it != pending_.end() && it->second == op.bytes)
-            pending_.erase(it);
-        qspace_.notify_all();
-    }
-}
-
-void
-VerdictStore::enqueueWrite(std::string path, std::string bytes)
-{
-    auto sp = std::make_shared<const std::string>(std::move(bytes));
-    std::unique_lock<std::mutex> lock(qmu_);
-    // Bounded queue: a writer outrunning the disk blocks here rather
-    // than growing the heap without limit.
-    qspace_.wait(lock, [this] { return queue_.size() < kMaxQueuedWrites; });
-    pending_[path] = sp;
-    queue_.push_back(WriteOp{std::move(path), std::move(sp)});
-    qcv_.notify_one();
-}
-
-std::shared_ptr<const std::string>
-VerdictStore::pendingBytes(const std::string &path) const
-{
-    std::lock_guard<std::mutex> lock(qmu_);
-    auto it = pending_.find(path);
-    return it == pending_.end() ? nullptr : it->second;
-}
-
-void
-VerdictStore::flush()
-{
-    if (!flusher_.joinable())
-        return;
-    std::unique_lock<std::mutex> lock(qmu_);
-    qspace_.wait(lock,
-                 [this] { return queue_.empty() && pending_.empty(); });
-}
-
 bool
 VerdictStore::get(uint64_t keyLo, uint64_t keyHi,
                   const std::string &keyBytes, VerdictRecord *out)
@@ -421,23 +363,8 @@ VerdictStore::get(uint64_t keyLo, uint64_t keyHi,
         misses_.add(1);
         return false;
     }
-    const std::string path = recordPath(keyLo, keyHi);
     std::string storedKey;
-    bool loaded = false;
-    // A queued-but-unpublished write must already be visible: the
-    // flusher's lag is an implementation detail, not a consistency
-    // model.
-    if (auto pend = pendingBytes(path))
-        loaded = parseRecord(*pend, &storedKey, out);
-    if (!loaded)
-        loaded = loadRecord(path, &storedKey, out);
-    if (!loaded) {
-        // Legacy flat layout (pre-sharding stores stay warm).
-        loaded = loadRecord(records_ + "/" + hashHex(Hash128{keyLo, keyHi}) +
-                                ".vr",
-                            &storedKey, out);
-    }
-    if (!loaded) {
+    if (!loadRecord(recordPath(keyLo, keyHi), &storedKey, out)) {
         misses_.add(1);
         return false;
     }
@@ -461,34 +388,19 @@ VerdictStore::put(uint64_t keyLo, uint64_t keyHi,
     const std::string path = recordPath(keyLo, keyHi);
     // First-wins on collision: a resident valid record for different
     // canonical bytes stays (its readers still hit); overwriting would
-    // flip-flop the file between the colliding queries. The resident
-    // may still be in the flusher queue.
-    if (auto pend = pendingBytes(path)) {
-        std::string resident;
-        VerdictRecord tmp;
-        if (parseRecord(*pend, &resident, &tmp)) {
-            if (resident != keyBytes) {
-                collisions_.add(1);
-                return false;
-            }
-            return true; // identical key already queued
+    // flip-flop the file between the colliding queries.
+    std::string resident;
+    VerdictRecord tmp;
+    std::string bytes;
+    if (readFile(path, &bytes) && parseRecord(bytes, &resident, &tmp)) {
+        if (resident != keyBytes) {
+            collisions_.add(1);
+            return false;
         }
+        return true; // identical key already stored
     }
-    const std::string flat =
-        records_ + "/" + hashHex(Hash128{keyLo, keyHi}) + ".vr";
-    for (const std::string *p : {&path, &flat}) {
-        std::string resident;
-        VerdictRecord tmp;
-        std::string bytes;
-        if (readFile(*p, &bytes) && parseRecord(bytes, &resident, &tmp)) {
-            if (resident != keyBytes) {
-                collisions_.add(1);
-                return false;
-            }
-            return true; // identical key already stored
-        }
-    }
-    enqueueWrite(path, serializeRecord(keyBytes, rec));
+    if (!publish(path, serializeRecord(keyBytes, rec)))
+        return false;
     writes_.add(1);
     return true;
 }
@@ -500,20 +412,15 @@ VerdictStore::putBlob(const std::string &bytes, Hash128 *addr)
     if (!enabled())
         return false;
     const std::string path = blobPath(*addr);
-    if (pendingBytes(path)) {
-        blobDedups_.add(1);
-        return true;
-    }
     std::error_code ec;
-    if (fs::exists(path, ec) ||
-        fs::exists(blobs_ + "/" + hashHex(*addr) + ".pb", ec)) {
+    if (fs::exists(path, ec)) {
         blobDedups_.add(1);
         return true;
     }
-    // FIFO order through the flusher publishes (and fsyncs) a blob
-    // before any record enqueued after it: a record must not reference a
-    // hole after a crash.
-    enqueueWrite(path, sealEnvelope(kBlobMagic, bytes));
+    // Published (and fsynced) before this returns, so before any record
+    // put after it: a record must not reference a hole after a crash.
+    if (!publish(path, sealEnvelope(kBlobMagic, bytes)))
+        return false;
     blobWrites_.add(1);
     return true;
 }
@@ -523,14 +430,9 @@ VerdictStore::getBlob(const Hash128 &addr, std::string *out) const
 {
     if (!enabled())
         return false;
-    const std::string path = blobPath(addr);
     std::string bytes;
-    if (auto pend = pendingBytes(path)) {
-        bytes = *pend;
-    } else if (!readFile(path, &bytes) &&
-               !readFile(blobs_ + "/" + hashHex(addr) + ".pb", &bytes)) {
+    if (!readFile(blobPath(addr), &bytes))
         return false;
-    }
     const char *payload = nullptr;
     size_t len = 0;
     if (!openEnvelope(bytes, kBlobMagic, &payload, &len))
@@ -690,7 +592,6 @@ VerdictStore::scan()
     ScanSummary s;
     if (!enabled())
         return s;
-    flush();
     std::error_code ec;
     for (const auto &e : fs::recursive_directory_iterator(records_, ec)) {
         const std::string path = e.path().string();
@@ -729,7 +630,6 @@ VerdictStore::verify()
     VerifySummary s;
     if (!enabled())
         return s;
-    flush();
     auto note = [&](const std::string &path, const std::string &msg) {
         if (s.firstFailure.empty())
             s.firstFailure = path + ": " + msg;
@@ -797,7 +697,6 @@ VerdictStore::gc(const GcPolicy &policy)
     GcSummary g;
     if (!enabled())
         return g;
-    flush();
     std::error_code ec;
     // Pass 1: drop quarantined/tmp leftovers, inventory live records.
     struct LiveRec

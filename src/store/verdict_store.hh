@@ -3,16 +3,16 @@
  * Persistent content-addressed verdict store (DESIGN.md §3j).
  *
  * The in-memory exec::QueryCache answers repeats within one process; this
- * store extends the same memoization across processes and runs. Keys are
- * the canonical 128-bit query digests the cache already computes
- * (exec::makeQueryKey), with the canonical key bytes stored inside every
- * record and compared on load — a digest collision degrades to a counted
- * miss, never an aliased verdict, exactly mirroring the in-memory cache.
+ * store extends the same memoization across processes and runs. Records
+ * are named by the canonical 128-bit query digest (exec::makeQueryKey),
+ * and every record also stores the canonical key bytes
+ * (exec::makeQueryKeyBytes), compared on load: a digest collision
+ * degrades to a counted miss, never an aliased verdict.
  *
  * A record carries the verdict plus its evidence:
  *  - Reachable: the replayable per-cycle input witness (the same
- *    compressed form exec::CachedResult persists in memory; the full
- *    trace is re-derived by deterministic simulator replay on load);
+ *    VerdictRecord the in-memory cache holds; the full trace is
+ *    re-derived by deterministic simulator replay on load);
  *  - Unreachable: a reference into a content-addressed DRAT proof-context
  *    blob — the solver instance's recorded (input CNF, proof log) — plus
  *    the prefix counts and assumption literals that close exactly this
@@ -26,21 +26,15 @@
  * provides the atomic publish): records are
  * published by write-to-tmp + fsync + rename, every load re-checks magic,
  * version, length, and checksum, and anything that fails is quarantined
- * (renamed *.corrupt) and counted rather than trusted. Two processes
+ * (renamed *.corrupt) and counted rather than trusted. Two writers
  * racing on one key both publish valid records; last rename wins.
  */
 
 #ifndef STORE_VERDICT_STORE_HH
 #define STORE_VERDICT_STORE_HH
 
-#include <condition_variable>
 #include <cstdint>
-#include <deque>
-#include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/cachedir.hh"
@@ -57,11 +51,11 @@ namespace rmp::store
 constexpr uint32_t kStoreVersion = 1;
 
 /**
- * One stored verdict. Mirrors exec::CachedResult (outcome + compressed
- * witness) plus instance-size stats and the proof reference; kept free
- * of bmc types so the store layer sits below exec in the dependency
- * order (outcome values match bmc::Outcome: 0 Reachable, 1 Unreachable,
- * 2 Undetermined).
+ * One verdict in its memoized form, on disk and in exec::QueryCache:
+ * the outcome, the compressed witness, instance-size stats and the proof
+ * reference. Kept free of bmc types so the store layer sits below exec
+ * in the dependency order (outcome values match bmc::Outcome:
+ * 0 Reachable, 1 Unreachable, 2 Undetermined).
  */
 struct VerdictRecord
 {
@@ -172,26 +166,21 @@ struct GcSummary
 };
 
 /**
- * The store. Thread-safe for get/put/putBlob (per-call locking of the
- * counters; file operations are individually atomic). One instance per
- * process is typical (exec::QueryCache holds a pointer), but nothing
- * prevents several — the on-disk format is the coordination point.
+ * The store. Thread-safe for get/put/putBlob (the counters are atomic;
+ * file operations are individually atomic). One instance per process is
+ * typical (the engine pools hold a pointer), but nothing prevents
+ * several — the on-disk format is the coordination point.
  *
- * Concurrency + layout: the on-disk namespace is sharded by the first
- * two hex digits of the digest (records/ab/<hex>.vr, blobs/cd/<hex>.pb)
- * so concurrent writers — multiple daemon workers, or two daemons
- * sharing one root — fan their creates/renames across 256 directories
- * instead of contending on one. Legacy flat files are still read,
- * scanned, verified, and collected.
+ * Layout: the on-disk namespace is sharded by the first two hex digits
+ * of the digest (records/ab/<hex>.vr, blobs/cd/<hex>.pb) so concurrent
+ * writers — multiple daemon workers, or two daemons sharing one root —
+ * fan their creates/renames across 256 directories instead of
+ * contending on one.
  *
- * Writes are asynchronous: put()/putBlob() seal the envelope on the
- * calling thread, then hand the publish (fsync + rename) to a single
- * background flusher thread, keeping durability off the solver workers'
- * critical path. Pending writes are visible to same-process get()s
- * immediately; FIFO order guarantees a blob reaches disk before any
- * record that references it. flush() is the drain barrier (the
- * destructor implies it); a process that exits without running
- * destructors (fork + _exit) must flush() explicitly.
+ * Writes are synchronous: put() and putBlob() publish (write to a tmp
+ * file, fsync, rename) on the calling thread and return once the file is
+ * in place, so a later get() of any thread or process sees it, and a
+ * blob published before a record that references it reaches disk first.
  */
 class VerdictStore
 {
@@ -204,7 +193,6 @@ class VerdictStore
      * after a crash.
      */
     explicit VerdictStore(std::string root = "");
-    ~VerdictStore();
 
     VerdictStore(const VerdictStore &) = delete;
     VerdictStore &operator=(const VerdictStore &) = delete;
@@ -227,8 +215,9 @@ class VerdictStore
      * Publish @p rec under digest (@p keyLo, @p keyHi). If a valid record
      * with different canonical bytes already occupies the digest, the
      * existing record wins (counted collision, returns false) — the disk
-     * cannot chain colliding entries the way the in-memory bucket does.
-     * Re-putting an identical key is a cheap no-op.
+     * holds one record per digest. Re-putting an identical key is a
+     * cheap no-op. Returns once the record is published (false if it
+     * could not be written).
      */
     bool put(uint64_t keyLo, uint64_t keyHi, const std::string &keyBytes,
              const VerdictRecord &rec);
@@ -236,6 +225,8 @@ class VerdictStore
     /**
      * Publish @p bytes as a content-addressed blob; fills @p addr with
      * its address. Dedups: an already-present blob is not rewritten.
+     * Returns once the blob is published (false if it could not be
+     * written).
      */
     bool putBlob(const std::string &bytes, Hash128 *addr);
 
@@ -243,13 +234,6 @@ class VerdictStore
     bool getBlob(const Hash128 &addr, std::string *out) const;
 
     StoreStats stats() const;
-
-    /**
-     * Block until every write handed to the background flusher has been
-     * published (fsync + rename complete). Idempotent; cheap when the
-     * queue is empty.
-     */
-    void flush();
 
     /** Walk every record/blob and tally (quarantines corrupt records). */
     ScanSummary scan();
@@ -327,37 +311,9 @@ class VerdictStore
                     VerdictRecord *rec, uint64_t *bytes = nullptr);
     void quarantine(const std::string &path);
 
-    /** Hand a sealed file to the background flusher (FIFO). Blocks when
-     *  the queue is at capacity (bounded backpressure). */
-    void enqueueWrite(std::string path, std::string bytes);
-    /** The pending (not yet published) bytes for @p path, if any. */
-    std::shared_ptr<const std::string> pendingBytes(
-        const std::string &path) const;
-    void flusherMain();
-
     std::string root_;    ///< "" = disabled
     std::string records_; ///< root_/records
     std::string blobs_;   ///< root_/blobs
-
-    /** @name Background flusher (started when the store is enabled) */
-    /// @{
-    static constexpr size_t kMaxQueuedWrites = 4096;
-    struct WriteOp
-    {
-        std::string path;
-        std::shared_ptr<const std::string> bytes;
-    };
-    mutable std::mutex qmu_;
-    std::condition_variable qcv_;     ///< flusher: work available / stop
-    std::condition_variable qspace_;  ///< producers: space / drained
-    std::deque<WriteOp> queue_;
-    /** path -> sealed bytes for every write not yet published; read by
-     *  get()/getBlob()/put() so queued writes are immediately visible. */
-    std::unordered_map<std::string, std::shared_ptr<const std::string>>
-        pending_;
-    bool qstop_ = false;
-    std::thread flusher_;
-    /// @}
     obs::Counter &hits_;
     obs::Counter &misses_;
     obs::Counter &collisions_;

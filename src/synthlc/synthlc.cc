@@ -40,22 +40,6 @@ operandName(Operand o)
 namespace
 {
 
-ift::IftConfig
-iftConfigFor(const designs::Harness &hx)
-{
-    const DuvInfo &info = hx.duv();
-    ift::IftConfig cfg;
-    rmp_assert(info.rs1Reg != kNoSig && info.rs2Reg != kNoSig,
-               "DUV %s lacks operand-register metadata", info.name.c_str());
-    cfg.taintSources = {info.rs1Reg, info.rs2Reg};
-    cfg.blockRegs = info.arfRegs;
-    cfg.blockRegs.insert(cfg.blockRegs.end(), info.amemRegs.begin(),
-                         info.amemRegs.end());
-    cfg.persistentRegs = info.persistentRegs;
-    cfg.txmGone = hx.txmGone;
-    return cfg;
-}
-
 /** Build the per-μFSM taint-reduction wires (vars + PCR shadows). */
 std::vector<SigId>
 buildFsmTaintWires(const designs::Harness &hx, const ift::Instrumented &inst)
@@ -86,7 +70,14 @@ engineConfigFor(const designs::Harness &hx, const SynthLcConfig &config)
 
 SynthLc::SynthLc(const designs::Harness &harness, const SynthLcConfig &config)
     : hx(harness), cfg(config),
-      inst(ift::instrument(hx.design(), iftConfigFor(harness))),
+      inst(ift::instrument(hx.design(),
+                           [&] {
+                               auto icfg = harness.iftConfig();
+                               rmp_assert(icfg, "DUV %s lacks operand-"
+                                          "register metadata",
+                                          harness.duv().name.c_str());
+                               return *icfg;
+                           }())),
       fsmTaint(buildFsmTaintWires(harness, inst)),
       pool_(*inst.design, engineConfigFor(harness, config), config.store),
       base(hx.baseAssumes())

@@ -1,12 +1,19 @@
 /**
  * @file
- * Unit tests for common utilities: BitVec masking/arith semantics and the
- * ASCII table renderer.
+ * Unit tests for common utilities: BitVec masking/arith semantics, the
+ * ASCII table renderer and the cache directory's atomic publish.
  */
 
 #include <gtest/gtest.h>
 
+#include <unistd.h>
+
+#include <filesystem>
+#include <fstream>
+#include <string>
+
 #include "common/bitvec.hh"
+#include "common/cachedir.hh"
 #include "common/table.hh"
 
 using namespace rmp;
@@ -83,4 +90,26 @@ TEST(AsciiTable, SeparatorDoesNotCountAsRow)
     t.addSeparator();
     t.addRow({"2"});
     EXPECT_EQ(t.numRows(), 2u);
+}
+
+TEST(Common, AtomicWriteNeverReusesAnotherWritersTempFile)
+{
+    // Two threads of one process may publish one path at once. A tmp
+    // name unique only per process would let this write truncate the
+    // other writer's half-written file and rename it away.
+    char tmpl[] = "/tmp/rmp-common-test-XXXXXX";
+    ASSERT_NE(mkdtemp(tmpl), nullptr);
+    const std::string path = std::string(tmpl) + "/record";
+    const std::string other =
+        path + ".tmp." + std::to_string(static_cast<long>(::getpid()));
+    const std::string sentinel = "another writer's bytes";
+    std::ofstream(other, std::ios::binary) << sentinel;
+
+    ASSERT_TRUE(atomicWriteFile(path, "published bytes"));
+    std::string got;
+    ASSERT_TRUE(readFile(path, &got));
+    EXPECT_EQ(got, "published bytes");
+    ASSERT_TRUE(readFile(other, &got));
+    EXPECT_EQ(got, sentinel);
+    std::filesystem::remove_all(tmpl);
 }

@@ -352,40 +352,35 @@ TEST(Exec, ParallelForRunsEveryIndexExactlyOnce)
         EXPECT_EQ(ran_on[i], caller) << i;
 }
 
-TEST(Exec, DigestCollisionIsDetectedNotAliased)
+TEST(Exec, DistinctKeyBytesAreDistinctEntries)
 {
-    // Regression for the cache-collision latent defect: the 128-bit
-    // QueryKey is a hash digest, so two distinct queries CAN land on the
-    // same key. Force that case by hand — same QueryKey, different
-    // canonical bytes — and require the cache to keep the two results
-    // separate, serve each probe its own verdict, and count the
-    // collision, instead of silently aliasing one query's verdict to the
-    // other.
+    // The cache is keyed by the canonical bytes, which name a query
+    // exactly: two queries whose 128-bit digests collide still have
+    // distinct bytes. The cache must keep their results separate and
+    // serve each probe its own verdict, never alias one query's verdict
+    // to the other. (On disk, where the digest names the file,
+    // VerdictStore.DigestCollisionDetectedOnDisk covers the collision.)
     QueryCache cache;
-    QueryKey key{0x1234, 0x5678};
-    bmc::CoverResult reach;
-    reach.outcome = Outcome::Reachable;
-    bmc::CoverResult unreach;
-    unreach.outcome = Outcome::Unreachable;
+    store::VerdictRecord reach;
+    reach.outcome = static_cast<uint8_t>(Outcome::Reachable);
+    store::VerdictRecord unreach;
+    unreach.outcome = static_cast<uint8_t>(Outcome::Unreachable);
 
-    cache.put(key, "query-A", reach);
-    CachedResult out;
-    // Probe with different bytes under the same digest: a miss, counted
-    // as a collision — NOT query A's verdict.
-    EXPECT_FALSE(cache.get(key, "query-B", &out));
-    EXPECT_EQ(cache.stats().collisions, 1u);
+    cache.put("query-A", reach);
+    store::VerdictRecord out;
+    // Probe with other bytes: a miss — NOT query A's verdict.
+    EXPECT_FALSE(cache.get("query-B", &out));
 
-    // Publish B under the same digest; both now coexist and resolve to
-    // their own verdicts.
-    cache.put(key, "query-B", unreach);
-    ASSERT_TRUE(cache.get(key, "query-A", &out));
-    EXPECT_EQ(out.outcome, Outcome::Reachable);
-    ASSERT_TRUE(cache.get(key, "query-B", &out));
-    EXPECT_EQ(out.outcome, Outcome::Unreachable);
+    // Publish B; both now coexist and resolve to their own verdicts.
+    cache.put("query-B", unreach);
+    ASSERT_TRUE(cache.get("query-A", &out));
+    EXPECT_EQ(out.outcome, static_cast<uint8_t>(Outcome::Reachable));
+    ASSERT_TRUE(cache.get("query-B", &out));
+    EXPECT_EQ(out.outcome, static_cast<uint8_t>(Outcome::Unreachable));
     EXPECT_EQ(cache.stats().entries, 2u);
 
-    // Re-publishing an existing entry is a no-op, not a new collision.
-    cache.put(key, "query-A", reach);
+    // Re-publishing an existing entry is a no-op.
+    cache.put("query-A", reach);
     EXPECT_EQ(cache.stats().entries, 2u);
 }
 

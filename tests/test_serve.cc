@@ -757,7 +757,7 @@ TEST(Serve, TwoForkedDaemonsShareOneStoreRoot)
             return pid;
         // Child: run a daemon until the shutdown op, then report run()'s
         // result. _exit skips static destructors; run() has already
-        // joined the workers and drained the store flusher.
+        // joined the workers and flushed every pool's pending proofs.
         ServeConfig cfg;
         cfg.socketPath = socket;
         cfg.workers = 2;

@@ -2,10 +2,10 @@
  * @file
  * Persistent verdict store tests: record codec roundtrips, the paranoid
  * load path (truncation, corruption, quarantine), on-disk digest-
- * collision detection, cross-process writer races, and the end-to-end
- * synthesis integration — a second run answered from the store must
- * reproduce the first run's μPATHs byte for byte, skip re-auditing, and
- * leave a store that `verify` re-checks clean.
+ * collision detection, cross-process and cross-thread writer races, and
+ * the end-to-end synthesis integration — a second run answered from the
+ * store must reproduce the first run's μPATHs byte for byte, skip
+ * re-auditing, and leave a store that `verify` re-checks clean.
  */
 
 #include <gtest/gtest.h>
@@ -14,12 +14,15 @@
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
+#include <barrier>
 #include <chrono>
 #include <cstdint>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <string>
+#include <thread>
 
 #include "common/interrupt.hh"
 #include "designs/catalog.hh"
@@ -143,9 +146,7 @@ TEST(VerdictStore, PutGetAndCorruptQuarantine)
         EXPECT_EQ(st.stats().hits, 1u);
 
         // Corrupt the record on disk: the next load must quarantine it
-        // (renamed *.corrupt), count it, and miss. flush() first so the
-        // background flusher has published the file we are corrupting.
-        st.flush();
+        // (renamed *.corrupt), count it, and miss.
         std::string path = st.recordPath(0xabc, 0xdef);
         {
             std::fstream f(path, std::ios::in | std::ios::out |
@@ -210,8 +211,7 @@ TEST(VerdictStore, ConcurrentWritersRaceOneKey)
                 st.put(static_cast<uint64_t>(k), 77,
                        "key-" + std::to_string(k), rec);
             }
-        st.flush(); // _exit skips destructors; drain the flusher
-        _exit(0);
+        _exit(0); // every put() has published before it returned
     };
     pid_t a = fork();
     ASSERT_GE(a, 0);
@@ -241,7 +241,7 @@ TEST(VerdictStore, ConcurrentWritersRaceOneKey)
     fs::remove_all(root);
 }
 
-TEST(VerdictStore, ShardedLayoutAndLegacyFlatFallback)
+TEST(VerdictStore, ShardedLayout)
 {
     std::string root = makeTempRoot();
     {
@@ -250,7 +250,6 @@ TEST(VerdictStore, ShardedLayoutAndLegacyFlatFallback)
         ASSERT_TRUE(st.put(0x1234, 0x5678, "sharded-key", sampleRecord()));
         Hash128 addr;
         ASSERT_TRUE(st.putBlob("blob-bytes", &addr));
-        st.flush();
 
         // Records and blobs live under a 2-hex-digit digest-prefix
         // shard directory, so concurrent writers spread their renames
@@ -265,30 +264,18 @@ TEST(VerdictStore, ShardedLayoutAndLegacyFlatFallback)
         std::string bp = st.blobPath(addr);
         ASSERT_TRUE(fs::exists(bp)) << bp;
         EXPECT_NE(bp.find("/blobs/"), std::string::npos);
-
-        // A record written by an older build at the flat (unsharded)
-        // path must still be found, and scan/verify must count it.
-        std::string flat = rp;
-        std::string shard = fs::path(rp).parent_path().filename();
-        flat.erase(flat.find("/" + shard + "/"), shard.size() + 1);
-        fs::rename(rp, flat);
-        VerdictRecord rec;
-        EXPECT_TRUE(st.get(0x1234, 0x5678, "sharded-key", &rec));
-        VerifySummary v = st.verify();
-        EXPECT_TRUE(v.ok()) << v.firstFailure;
-        EXPECT_EQ(v.records, 1u);
     }
     fs::remove_all(root);
 }
 
-TEST(VerdictStore, QueuedWritesVisibleBeforePublish)
+TEST(VerdictStore, WritesVisibleToTheWritingProcess)
 {
     std::string root = makeTempRoot();
     {
         VerdictStore st(root);
         ASSERT_TRUE(st.enabled());
-        // Read-your-writes without a flush barrier: the pending map
-        // answers while the background flusher still owns the bytes.
+        // Read-your-writes without a barrier: put() and putBlob()
+        // publish before they return.
         ASSERT_TRUE(st.put(1, 2, "early-key", sampleRecord()));
         VerdictRecord rec;
         EXPECT_TRUE(st.get(1, 2, "early-key", &rec));
@@ -297,13 +284,71 @@ TEST(VerdictStore, QueuedWritesVisibleBeforePublish)
         std::string back;
         EXPECT_TRUE(st.getBlob(addr, &back));
         EXPECT_EQ(back, "early-blob");
-        // Re-putting the same blob dedups against the pending write.
+        // Re-putting the same blob dedups against the published one.
         Hash128 addr2;
         ASSERT_TRUE(st.putBlob("early-blob", &addr2));
         EXPECT_EQ(addr2.lo, addr.lo);
         EXPECT_EQ(addr2.hi, addr.hi);
         EXPECT_GE(st.stats().blobDedups, 1u);
     }
+    fs::remove_all(root);
+}
+
+TEST(VerdictStore, ThreadsRacingOneKeyKeepTheStoreValid)
+{
+    // Daemon workers of one process share query keys across warm
+    // entries, so two threads can publish one record at once. Each
+    // publish needs a tmp file of its own: with one per process, a
+    // writer truncates the other's half-written bytes or renames them
+    // into place, and a reader quarantines the torn record.
+    std::string root = makeTempRoot();
+    constexpr int kKeys = 512;
+    auto keyOf = [](int k) { return "race-key-" + std::to_string(k); };
+    {
+        VerdictStore st(root);
+        ASSERT_TRUE(st.enabled());
+        std::barrier meet(2);
+        auto writer = [&] {
+            for (int k = 0; k < kKeys; k++) {
+                meet.arrive_and_wait(); // both publish key k together
+                Hash128 addr;
+                st.putBlob("race-blob", &addr);
+                VerdictRecord rec = sampleRecord();
+                rec.matchFrame = static_cast<uint32_t>(k);
+                st.put(static_cast<uint64_t>(k), 0x7ace, keyOf(k), rec);
+            }
+        };
+        std::atomic<bool> written{false};
+        auto reader = [&] {
+            VerdictRecord rec;
+            while (!written.load())
+                for (int k = 0; k < kKeys; k++)
+                    st.get(static_cast<uint64_t>(k), 0x7ace, keyOf(k),
+                           &rec);
+        };
+        std::thread r(reader);
+        std::thread a(writer), b(writer);
+        a.join();
+        b.join();
+        written = true;
+        r.join();
+
+        EXPECT_EQ(st.stats().corrupt, 0u);
+        for (int k = 0; k < kKeys; k++) {
+            VerdictRecord rec;
+            ASSERT_TRUE(st.get(static_cast<uint64_t>(k), 0x7ace, keyOf(k),
+                               &rec))
+                << "key " << k;
+            EXPECT_EQ(rec.matchFrame, static_cast<uint32_t>(k));
+        }
+        VerifySummary v = st.verify();
+        EXPECT_TRUE(v.ok()) << v.firstFailure;
+        EXPECT_EQ(v.records, static_cast<uint64_t>(kKeys));
+    }
+    for (const auto &e : fs::recursive_directory_iterator(root))
+        EXPECT_EQ(e.path().filename().string().find(".tmp."),
+                  std::string::npos)
+            << e.path();
     fs::remove_all(root);
 }
 
@@ -317,7 +362,6 @@ TEST(VerdictStore, GcPolicyEvictsByAgeAndSize)
             ASSERT_TRUE(st.put(static_cast<uint64_t>(k), 99,
                                "gc-key-" + std::to_string(k),
                                sampleRecord()));
-        st.flush();
 
         // Age out half the records by backdating their mtimes.
         for (int k = 0; k < 4; k++)
@@ -631,7 +675,6 @@ TEST(VerdictStoreIntegration, StaleVersionRejected)
     {
         VerdictStore st(root);
         ASSERT_TRUE(st.put(1, 2, "kb", sampleRecord()));
-        st.flush();
         // Bump the on-disk version field (offset 4, after the magic):
         // the load must reject it as stale, not misparse it.
         std::string path = st.recordPath(1, 2);

@@ -15,6 +15,7 @@
 #include <fstream>
 #include <limits>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "analysis/fsmreach.hh"
@@ -631,34 +632,15 @@ duvNames(const std::string &duv)
     return {duv};
 }
 
-/** The μFSM state variables — the control registers every absint
- *  consumer (lint, analyze) sharpens with fsmReachability. */
-std::vector<SigId>
-controlRegsOf(const Harness &hx)
-{
-    std::vector<SigId> ctrl;
-    for (const uhb::MicroFsm &fsm : hx.duv().fsms)
-        for (SigId v : fsm.vars)
-            ctrl.push_back(v);
-    return ctrl;
-}
-
 /** Append the IFT soundness lint (over the same instrumentation SynthLC
  *  uses) to @p rep, when the DUV declares operand registers. */
 void
 appendIftLint(const Harness &hx, analysis::LintReport *rep)
 {
-    const uhb::DuvInfo &info = hx.duv();
-    if (info.rs1Reg == kNoSig || info.rs2Reg == kNoSig)
+    std::optional<ift::IftConfig> icfg = hx.iftConfig();
+    if (!icfg)
         return;
-    ift::IftConfig icfg;
-    icfg.taintSources = {info.rs1Reg, info.rs2Reg};
-    icfg.blockRegs = info.arfRegs;
-    icfg.blockRegs.insert(icfg.blockRegs.end(), info.amemRegs.begin(),
-                          info.amemRegs.end());
-    icfg.persistentRegs = info.persistentRegs;
-    icfg.txmGone = hx.txmGone;
-    ift::Instrumented inst = ift::instrument(hx.design(), icfg);
+    ift::Instrumented inst = ift::instrument(hx.design(), *icfg);
     analysis::LintReport irep = analysis::lintIft(hx.design(), inst);
     rep->diags.insert(rep->diags.end(), irep.diags.begin(),
                       irep.diags.end());
@@ -674,7 +656,7 @@ cmdLint(const std::string &duv, const CliOptions &o)
     for (size_t i = 0; i < names.size(); i++) {
         Harness hx(buildByName(names[i]));
         analysis::LintConfig lcfg;
-        lcfg.controlRegs = controlRegsOf(hx);
+        lcfg.controlRegs = hx.controlRegs();
         analysis::LintReport rep = analysis::lint(hx.design(), lcfg);
         appendIftLint(hx, &rep);
         errors += rep.errors();
@@ -700,7 +682,7 @@ cmdAnalyze(const std::string &duv, const CliOptions &o)
     for (size_t i = 0; i < names.size(); i++) {
         Harness hx(buildByName(names[i]));
         const Design &d = hx.design();
-        std::vector<SigId> ctrl = controlRegsOf(hx);
+        std::vector<SigId> ctrl = hx.controlRegs();
 
         // Global fixpoint sharpened by FSM successor enumeration on the
         // control regs, called in two steps to keep the per-register
